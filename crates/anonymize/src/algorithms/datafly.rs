@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use anoncmp_microdata::prelude::{AnonymizedTable, Dataset, GenCodec, Lattice};
+use anoncmp_microdata::prelude::{AnonymizedTable, ChunkedCodec, Dataset, Lattice};
 
 use crate::algorithms::{validate_common, Anonymizer};
 use crate::constraint::Constraint;
@@ -39,7 +39,7 @@ impl Datafly {
     ) -> Result<(AnonymizedTable, Vec<usize>)> {
         validate_common(dataset, constraint)?;
         let lattice = Lattice::new(dataset.schema().clone())?;
-        let codec = GenCodec::new(dataset)?;
+        let codec = ChunkedCodec::resident(dataset)?;
         let fast = constraint.is_frequency_only();
         let mut levels = lattice.bottom();
         loop {
@@ -48,14 +48,14 @@ impl Datafly {
             // models need the actual table every round.
             if fast {
                 if constraint.feasible_partition(&lattice.evaluate_node(&codec, &levels)?) {
-                    let table = lattice.apply_encoded(&codec, &levels, "datafly")?;
+                    let table = lattice.apply_encoded(&codec, dataset, &levels, "datafly")?;
                     let done = constraint
                         .enforce(&table)
                         .expect("frequency-set feasibility guarantees enforcement");
                     return Ok((done, levels));
                 }
             } else {
-                let table = lattice.apply_encoded(&codec, &levels, "datafly")?;
+                let table = lattice.apply_encoded(&codec, dataset, &levels, "datafly")?;
                 if let Some(done) = constraint.enforce(&table) {
                     return Ok((done, levels));
                 }
@@ -83,7 +83,7 @@ impl Datafly {
                             .evaluate_node(&codec, &levels)?
                             .tuples_below(constraint.k)
                     } else {
-                        let table = lattice.apply_encoded(&codec, &levels, "datafly")?;
+                        let table = lattice.apply_encoded(&codec, dataset, &levels, "datafly")?;
                         constraint.violating_tuples(&table)
                     };
                     return Err(AnonymizeError::Unsatisfiable(format!(

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use anoncmp_microdata::loss::LossMetric;
 use anoncmp_microdata::prelude::{
-    AnonymizedTable, Dataset, GenCodec, Lattice, LevelVector, NodePartition,
+    AnonymizedTable, ChunkedCodec, Dataset, Lattice, LevelVector, NodePartition,
 };
 
 use crate::algorithms::{validate_common, Anonymizer};
@@ -56,7 +56,7 @@ impl Incognito {
     pub fn run(&self, dataset: &Arc<Dataset>, constraint: &Constraint) -> Result<IncognitoOutcome> {
         validate_common(dataset, constraint)?;
         let lattice = Lattice::new(dataset.schema().clone())?;
-        let codec = GenCodec::new(dataset)?;
+        let codec = ChunkedCodec::resident(dataset)?;
         let fast = constraint.is_frequency_only();
 
         // BFS from the bottom. `status` records, per visited node, whether
@@ -65,7 +65,7 @@ impl Incognito {
         // frequency-set constraints a node is decided from its class sizes
         // alone — rejected nodes never materialize a table, and their
         // partitions are kept so successors can be derived incrementally
-        // by re-keying class representatives (`GenCodec::coarsen`) instead
+        // by re-keying class representatives (`ChunkedCodec::coarsen`) instead
         // of re-grouping every row.
         let mut status: HashMap<LevelVector, bool> = HashMap::new();
         let mut partitions: HashMap<LevelVector, NodePartition> = HashMap::new();
@@ -94,7 +94,7 @@ impl Incognito {
                     }
                     ok
                 } else {
-                    let table = lattice.apply_encoded(&codec, &levels, "incognito")?;
+                    let table = lattice.apply_encoded(&codec, dataset, &levels, "incognito")?;
                     constraint.enforce(&table).is_some()
                 }
             };
@@ -125,7 +125,7 @@ impl Incognito {
         // is known to satisfy, so enforce cannot fail here.
         let mut enforced: Vec<(LevelVector, AnonymizedTable)> = Vec::with_capacity(minimal.len());
         for levels in minimal {
-            let table = lattice.apply_encoded(&codec, levels, "incognito")?;
+            let table = lattice.apply_encoded(&codec, dataset, levels, "incognito")?;
             let t = constraint
                 .enforce(&table)
                 .expect("frontier nodes satisfy the constraint");
@@ -155,7 +155,7 @@ impl Incognito {
     /// scratch.
     fn evaluate_incremental(
         &self,
-        codec: &GenCodec,
+        codec: &ChunkedCodec,
         partitions: &HashMap<LevelVector, NodePartition>,
         levels: &[usize],
     ) -> Result<NodePartition> {

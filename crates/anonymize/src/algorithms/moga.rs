@@ -25,7 +25,7 @@ use anoncmp_core::prelude::{
 };
 use anoncmp_microdata::loss::LossMetric;
 use anoncmp_microdata::prelude::{
-    AnonymizedTable, Dataset, GenCodec, Lattice, LevelVector, NodePartition,
+    AnonymizedTable, ChunkedCodec, Dataset, Lattice, LevelVector, NodePartition,
 };
 
 use crate::algorithms::validate_common;
@@ -41,17 +41,15 @@ pub trait Objective: Send + Sync {
     /// The objective value of one release.
     fn value(&self, table: &AnonymizedTable) -> f64;
 
-    /// The objective value of a lattice node, evaluated on the encoded
-    /// representation — no table materialization. The search loop calls
-    /// this for every candidate, so built-in objectives override it with
-    /// direct codec kernels; the default decodes the node and falls back
-    /// to [`Objective::value`]. Overrides must return the bit-identical
-    /// value the decoded-table path would.
-    fn value_encoded(&self, codec: &GenCodec, partition: &NodePartition) -> f64 {
-        let table = codec
-            .decode(partition.levels(), "moga")
-            .expect("partition levels fit the codec");
-        self.value(&table)
+    /// The objective value of a lattice node, evaluated on the codec
+    /// partition — no table materialization — or `None` when the
+    /// objective has no codec kernel. The search loop calls this for every
+    /// candidate and decodes the node for [`Objective::value`] only when
+    /// it returns `None`, so built-in objectives override it. Overrides
+    /// must return the bit-identical value the decoded-table path would.
+    fn value_chunked(&self, codec: &ChunkedCodec, partition: &NodePartition) -> Option<f64> {
+        let _ = (codec, partition);
+        None
     }
 }
 
@@ -69,11 +67,13 @@ impl Objective for MeanClassSize {
         EqClassSize.extract(table).mean().unwrap_or(0.0)
     }
 
-    fn value_encoded(&self, codec: &GenCodec, partition: &NodePartition) -> f64 {
-        EqClassSize
-            .extract_encoded(codec, partition)
-            .mean()
-            .unwrap_or(0.0)
+    fn value_chunked(&self, codec: &ChunkedCodec, partition: &NodePartition) -> Option<f64> {
+        Some(
+            EqClassSize
+                .extract_chunked(codec, partition)?
+                .mean()
+                .unwrap_or(0.0),
+        )
     }
 }
 
@@ -91,8 +91,8 @@ impl Objective for MinClassSize {
         table.classes().min_class_size() as f64
     }
 
-    fn value_encoded(&self, _codec: &GenCodec, partition: &NodePartition) -> f64 {
-        partition.sizes().iter().copied().min().unwrap_or(0) as f64
+    fn value_chunked(&self, _codec: &ChunkedCodec, partition: &NodePartition) -> Option<f64> {
+        Some(partition.min_class_size() as f64)
     }
 }
 
@@ -120,11 +120,12 @@ impl Objective for NegLoss {
         -self.metric.total_loss(table)
     }
 
-    fn value_encoded(&self, codec: &GenCodec, partition: &NodePartition) -> f64 {
-        -self
+    fn value_chunked(&self, codec: &ChunkedCodec, partition: &NodePartition) -> Option<f64> {
+        let losses = self
             .metric
-            .total_loss_encoded(codec, partition.levels())
-            .expect("partition levels fit the codec")
+            .loss_vector_chunked(codec, partition.levels())
+            .expect("partition levels fit the codec");
+        Some(-losses.iter().sum::<f64>())
     }
 }
 
@@ -142,8 +143,8 @@ impl Objective for NegPrivacyGini {
         -gini(&EqClassSize.extract(table))
     }
 
-    fn value_encoded(&self, codec: &GenCodec, partition: &NodePartition) -> f64 {
-        -gini(&EqClassSize.extract_encoded(codec, partition))
+    fn value_chunked(&self, codec: &ChunkedCodec, partition: &NodePartition) -> Option<f64> {
+        Some(-gini(&EqClassSize.extract_chunked(codec, partition)?))
     }
 }
 
@@ -230,16 +231,31 @@ struct Individual {
 }
 
 impl MultiObjectiveGenetic {
-    /// Scores one lattice node through the encoded kernel: a
+    /// Scores one lattice node through the codec kernels: a
     /// [`NodePartition`] (class structure only) replaces the materialized
-    /// table the search loop used to build per candidate.
-    fn evaluate(&self, codec: &GenCodec, levels: LevelVector) -> Result<Individual> {
+    /// table, which is decoded — once — only for objectives without a
+    /// codec kernel.
+    fn evaluate(
+        &self,
+        codec: &ChunkedCodec,
+        dataset: &Arc<Dataset>,
+        levels: LevelVector,
+    ) -> Result<Individual> {
         let partition = codec.partition(&levels)?;
-        let objectives = self
-            .objectives
-            .iter()
-            .map(|o| o.value_encoded(codec, &partition))
-            .collect();
+        let mut table: Option<AnonymizedTable> = None;
+        let mut objectives = Vec::with_capacity(self.objectives.len());
+        for o in &self.objectives {
+            let value = match o.value_chunked(codec, &partition) {
+                Some(value) => value,
+                None => {
+                    if table.is_none() {
+                        table = Some(codec.decode(dataset, &levels, "moga")?);
+                    }
+                    o.value(table.as_ref().expect("decoded above"))
+                }
+            };
+            objectives.push(value);
+        }
         Ok(Individual { levels, objectives })
     }
 
@@ -265,20 +281,20 @@ impl MultiObjectiveGenetic {
             ));
         }
         let lattice = Lattice::new(dataset.schema().clone())?;
-        let codec = GenCodec::new(dataset)?;
+        let codec = ChunkedCodec::resident(dataset)?;
         let mut rng = StdRng::seed_from_u64(self.config.seed);
 
         // Initial population: corners plus random nodes.
         let mut population: Vec<Individual> = Vec::with_capacity(self.config.population * 2);
-        population.push(self.evaluate(&codec, lattice.bottom())?);
-        population.push(self.evaluate(&codec, lattice.top())?);
+        population.push(self.evaluate(&codec, dataset, lattice.bottom())?);
+        population.push(self.evaluate(&codec, dataset, lattice.top())?);
         while population.len() < self.config.population {
             let levels: LevelVector = lattice
                 .max_levels()
                 .iter()
                 .map(|&m| rng.gen_range(0..=m))
                 .collect();
-            population.push(self.evaluate(&codec, levels)?);
+            population.push(self.evaluate(&codec, dataset, levels)?);
         }
 
         for _ in 0..self.config.generations {
@@ -310,7 +326,7 @@ impl MultiObjectiveGenetic {
                         };
                     }
                 }
-                offspring.push(self.evaluate(&codec, child)?);
+                offspring.push(self.evaluate(&codec, dataset, child)?);
             }
             // Environmental selection: μ+λ, keep the NSGA-II best. Fronts
             // come from one batched dominance matrix over the pooled
@@ -507,16 +523,30 @@ mod tests {
     #[test]
     fn encoded_objectives_match_table_objectives() {
         // Every built-in objective must score a node identically whether
-        // it sees the materialized table or the encoded partition.
+        // it sees the materialized table or the codec partition; an
+        // objective without a codec kernel is scored on the decoded node.
+        struct DecodedOnly;
+        impl Objective for DecodedOnly {
+            fn name(&self) -> String {
+                "decoded-only".into()
+            }
+            fn value(&self, table: &AnonymizedTable) -> f64 {
+                table.classes().class_count() as f64
+            }
+        }
         let ds = small_census();
         let lattice = Lattice::new(ds.schema().clone()).unwrap();
-        let codec = GenCodec::new(&ds).unwrap();
-        let objectives: Vec<Arc<dyn Objective>> = vec![
-            Arc::new(MeanClassSize),
-            Arc::new(MinClassSize),
-            Arc::new(NegLoss::default()),
-            Arc::new(NegPrivacyGini),
-        ];
+        let codec = ChunkedCodec::resident(&ds).unwrap();
+        let search = MultiObjectiveGenetic {
+            objectives: vec![
+                Arc::new(MeanClassSize),
+                Arc::new(MinClassSize),
+                Arc::new(NegLoss::default()),
+                Arc::new(NegPrivacyGini),
+                Arc::new(DecodedOnly),
+            ],
+            ..MultiObjectiveGenetic::default()
+        };
         for levels in [
             lattice.bottom(),
             lattice.top(),
@@ -524,13 +554,18 @@ mod tests {
         ] {
             let table = lattice.apply(&ds, &levels, "node").unwrap();
             let partition = codec.partition(&levels).unwrap();
-            for o in &objectives {
+            let scored = search.evaluate(&codec, &ds, levels.clone()).unwrap();
+            for (o, &value) in search.objectives.iter().zip(&scored.objectives) {
                 assert_eq!(
                     o.value(&table),
-                    o.value_encoded(&codec, &partition),
+                    value,
                     "{} diverges at {levels:?}",
                     o.name()
                 );
+                match o.value_chunked(&codec, &partition) {
+                    Some(kernel) => assert_eq!(kernel, value, "{}", o.name()),
+                    None => assert_eq!(o.name(), "decoded-only"),
+                }
             }
         }
     }

@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use anoncmp_microdata::loss::LossMetric;
-use anoncmp_microdata::prelude::{AnonymizedTable, Dataset, GenCodec, Lattice, LevelVector};
+use anoncmp_microdata::prelude::{AnonymizedTable, ChunkedCodec, Dataset, Lattice, LevelVector};
 
 use crate::algorithms::{validate_common, Anonymizer};
 use crate::constraint::Constraint;
@@ -45,7 +45,7 @@ impl OptimalLattice {
     ) -> Result<(AnonymizedTable, LevelVector, usize)> {
         validate_common(dataset, constraint)?;
         let lattice = Lattice::new(dataset.schema().clone())?;
-        let codec = GenCodec::new(dataset)?;
+        let codec = ChunkedCodec::resident(dataset)?;
         let fast = constraint.is_frequency_only();
         let mut best: Option<(f64, LevelVector, AnonymizedTable)> = None;
         let mut feasible = 0usize;
@@ -55,7 +55,7 @@ impl OptimalLattice {
             if fast && !constraint.feasible_partition(&lattice.evaluate_node(&codec, &levels)?) {
                 continue;
             }
-            let table = lattice.apply_encoded(&codec, &levels, "optimal")?;
+            let table = lattice.apply_encoded(&codec, dataset, &levels, "optimal")?;
             let Some(enforced) = constraint.enforce(&table) else {
                 continue;
             };

@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use anoncmp_microdata::loss::LossMetric;
-use anoncmp_microdata::prelude::{AnonymizedTable, Dataset, GenCodec, Lattice, LevelVector};
+use anoncmp_microdata::prelude::{AnonymizedTable, ChunkedCodec, Dataset, Lattice, LevelVector};
 
 use crate::algorithms::{validate_common, Anonymizer};
 use crate::constraint::Constraint;
@@ -54,13 +54,14 @@ impl Samarati {
     /// through the codec — byte-identical to [`Lattice::apply`].
     fn satisfying_at_height(
         lattice: &Lattice,
-        codec: &GenCodec,
+        codec: &ChunkedCodec,
+        dataset: &Arc<Dataset>,
         constraint: &Constraint,
         height: usize,
     ) -> Result<Vec<(LevelVector, AnonymizedTable)>> {
         let mut out = Vec::new();
         for levels in lattice.nodes_at_height(height) {
-            let table = lattice.apply_encoded(codec, &levels, "samarati")?;
+            let table = lattice.apply_encoded(codec, dataset, &levels, "samarati")?;
             if let Some(enforced) = constraint.enforce(&table) {
                 out.push((levels, enforced));
             }
@@ -74,7 +75,8 @@ impl Samarati {
     /// search, only for the final frontier.
     fn any_satisfying_at_height(
         lattice: &Lattice,
-        codec: &GenCodec,
+        codec: &ChunkedCodec,
+        dataset: &Arc<Dataset>,
         constraint: &Constraint,
         height: usize,
     ) -> Result<bool> {
@@ -86,17 +88,23 @@ impl Samarati {
             }
             return Ok(false);
         }
-        Ok(!Self::satisfying_at_height(lattice, codec, constraint, height)?.is_empty())
+        Ok(!Self::satisfying_at_height(lattice, codec, dataset, constraint, height)?.is_empty())
     }
 
     /// Runs the full search, exposing the k-minimal frontier.
     pub fn run(&self, dataset: &Arc<Dataset>, constraint: &Constraint) -> Result<SamaratiOutcome> {
         validate_common(dataset, constraint)?;
         let lattice = Lattice::new(dataset.schema().clone())?;
-        let codec = GenCodec::new(dataset)?;
+        let codec = ChunkedCodec::resident(dataset)?;
 
         // The top must satisfy, or nothing does (monotone constraint).
-        if !Self::any_satisfying_at_height(&lattice, &codec, constraint, lattice.max_height())? {
+        if !Self::any_satisfying_at_height(
+            &lattice,
+            &codec,
+            dataset,
+            constraint,
+            lattice.max_height(),
+        )? {
             return Err(AnonymizeError::Unsatisfiable(format!(
                 "even the fully generalized release violates {}",
                 constraint.describe()
@@ -107,14 +115,14 @@ impl Samarati {
         let (mut lo, mut hi) = (0usize, lattice.max_height());
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            if Self::any_satisfying_at_height(&lattice, &codec, constraint, mid)? {
+            if Self::any_satisfying_at_height(&lattice, &codec, dataset, constraint, mid)? {
                 hi = mid;
             } else {
                 lo = mid + 1;
             }
         }
         let height = lo;
-        let frontier = Self::satisfying_at_height(&lattice, &codec, constraint, height)?;
+        let frontier = Self::satisfying_at_height(&lattice, &codec, dataset, constraint, height)?;
         debug_assert!(!frontier.is_empty());
 
         // Preference: minimal total loss.

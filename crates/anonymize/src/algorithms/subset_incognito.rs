@@ -28,7 +28,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use anoncmp_microdata::loss::LossMetric;
-use anoncmp_microdata::prelude::{AnonymizedTable, Dataset, GenCodec, Lattice, LevelVector};
+use anoncmp_microdata::prelude::{AnonymizedTable, ChunkedCodec, Dataset, Lattice, LevelVector};
 
 use crate::algorithms::{validate_common, Anonymizer};
 use crate::constraint::Constraint;
@@ -70,20 +70,13 @@ pub struct SubsetIncognitoOutcome {
 /// exceed `budget`. Evaluated entirely on the codec's encoded columns —
 /// no `GenValue` signatures are built.
 fn projection_satisfies(
-    codec: &GenCodec,
+    codec: &ChunkedCodec,
     dims: &[usize],
     levels: &[usize],
     k: usize,
     budget: usize,
 ) -> Result<bool> {
-    let view = codec.view_subset(dims, levels)?;
-    let (sizes, _) = view.sizes_and_reps();
-    let violating: usize = sizes
-        .iter()
-        .filter(|&&size| (size as usize) < k)
-        .map(|&size| size as usize)
-        .sum();
-    Ok(violating <= budget)
+    Ok(codec.partition_subset(dims, levels)?.tuples_below(k) <= budget)
 }
 
 impl SubsetIncognito {
@@ -95,7 +88,7 @@ impl SubsetIncognito {
     ) -> Result<SubsetIncognitoOutcome> {
         validate_common(dataset, constraint)?;
         let lattice = Lattice::new(dataset.schema().clone())?;
-        let codec = GenCodec::new(dataset)?;
+        let codec = ChunkedCodec::resident(dataset)?;
         let m = lattice.dimensions();
         let max_levels = lattice.max_levels().to_vec();
         let budget = constraint.max_suppression;
@@ -198,7 +191,7 @@ impl SubsetIncognito {
             if !minimal {
                 continue;
             }
-            let table = lattice.apply_encoded(&codec, levels, "subset-incognito")?;
+            let table = lattice.apply_encoded(&codec, dataset, levels, "subset-incognito")?;
             let Some(enforced) = constraint.enforce(&table) else {
                 continue;
             };
@@ -211,7 +204,7 @@ impl SubsetIncognito {
         // full satisfying set before giving up.
         if best.is_none() {
             for levels in &full_sat {
-                let table = lattice.apply_encoded(&codec, levels, "subset-incognito")?;
+                let table = lattice.apply_encoded(&codec, dataset, levels, "subset-incognito")?;
                 if let Some(enforced) = constraint.enforce(&table) {
                     let loss = self.preference.total_loss(&enforced);
                     if best.as_ref().is_none_or(|(l, ..)| loss < *l) {
@@ -346,7 +339,7 @@ mod tests {
     fn projection_check_is_consistent_with_full_grouping() {
         let ds = small_census();
         let lattice = Lattice::new(ds.schema().clone()).unwrap();
-        let codec = GenCodec::new(&ds).unwrap();
+        let codec = ChunkedCodec::resident(&ds).unwrap();
         let dims: Vec<usize> = (0..lattice.dimensions()).collect();
         for levels in [
             vec![0, 0, 0, 0, 0, 0],
@@ -367,7 +360,7 @@ mod tests {
     fn projection_check_on_true_subsets_matches_reference_grouping() {
         use std::collections::HashMap;
         let ds = small_census();
-        let codec = GenCodec::new(&ds).unwrap();
+        let codec = ChunkedCodec::resident(&ds).unwrap();
         let qi = ds.schema().quasi_identifiers().to_vec();
         // Project onto dims {0, 2} at mixed levels and compare against a
         // straightforward signature count.

@@ -281,7 +281,7 @@ mod tests {
         // Class sizes 3, 1, 2 (see `fixture`): the sizes-only check must
         // agree with enforce() for every pure-k constraint.
         let t = fixture();
-        let codec = GenCodec::new(t.dataset()).unwrap();
+        let codec = ChunkedCodec::resident(t.dataset()).unwrap();
         let part = codec.partition(&[1]).unwrap();
         assert_eq!(part.sizes(), &[3, 1, 2]);
         for k in 1..=7 {
@@ -304,7 +304,7 @@ mod tests {
     #[test]
     fn frequency_set_check_refuses_extra_models() {
         let t = fixture();
-        let codec = GenCodec::new(t.dataset()).unwrap();
+        let codec = ChunkedCodec::resident(t.dataset()).unwrap();
         let part = codec.partition(&[1]).unwrap();
         let c = Constraint::k_anonymity(1).with_model(StdArc::new(LDiversity::distinct(2)));
         assert!(!c.is_frequency_only());

@@ -1,7 +1,8 @@
-//! Encoded-vs-materialized equivalence: the codec-routed search algorithms
-//! must return **bit-identical** winning nodes and releases to reference
-//! reimplementations that materialize a table at every lattice node (the
-//! pre-codec evaluation strategy).
+//! Codec-vs-materialized equivalence: the search algorithms, which
+//! evaluate every node on the chunked codec, must return **bit-identical**
+//! winning nodes and releases to reference reimplementations that
+//! materialize a table at every lattice node (the pre-codec evaluation
+//! strategy).
 //!
 //! The references below deliberately re-state each search in its naive
 //! form — `Lattice::apply` + `Constraint::enforce` per node — so any

@@ -40,7 +40,7 @@ use anoncmp_microdata::loss::LossMetric;
 use anoncmp_microdata::prelude::*;
 use serde::Serialize;
 
-/// Row counts for the in-memory (materialized vs encoded) groups.
+/// Row counts for the in-memory (materialized vs resident-codec) groups.
 const ROW_GROUPS: [usize; 2] = [10_000, 50_000];
 
 /// Row counts for the out-of-core chunked groups. These never materialize
@@ -128,15 +128,16 @@ struct Perturbative {
 /// The whole baseline file.
 #[derive(Serialize)]
 struct Baseline {
-    /// Speedup of encoded per-node evaluation over `Lattice::apply` at the
-    /// largest measured in-memory size (min-over-min ratio; 0.0 when the
+    /// Speedup of per-node evaluation on the resident `ChunkedCodec` over
+    /// `Lattice::apply` at the largest measured in-memory size (min-over-min ratio; 0.0 when the
     /// group was filtered out by `--max-rows`).
     encoded_speedup_50k: f64,
     /// Speedup of incremental coarsening over `Lattice::apply` at the
     /// largest measured in-memory size.
     coarsen_speedup_50k: f64,
-    /// Speedup of encoded property extraction over the materialize-then-
-    /// extract path at the largest measured in-memory size.
+    /// Speedup of codec property extraction (`extract_chunked` on the
+    /// resident codec) over the materialize-then-extract path at the
+    /// largest measured in-memory size.
     extraction_speedup_50k: f64,
     /// Speedup of the batched `ComparisonMatrix` kernel over the scalar
     /// all-ordered-pairs sweep for 32 candidates (summed over the cov,
@@ -199,7 +200,8 @@ fn census(rows: usize) -> Arc<Dataset> {
     generate(&census_config(rows))
 }
 
-/// Same mid-lattice node the `lattice_encoded` criterion bench uses.
+/// The mid-lattice node every `lattice_encoded` and `property_extraction`
+/// row evaluates.
 const NODE: [usize; 6] = [2, 2, 1, 1, 1, 0];
 
 fn grouping_benches(out: &mut Vec<BenchEntry>) {
@@ -209,10 +211,11 @@ fn grouping_benches(out: &mut Vec<BenchEntry>) {
     let table = lattice.apply(&ds, &NODE, "bench").expect("valid node");
     let records = table.records().to_vec();
     let qi: Vec<usize> = ds.schema().quasi_identifiers().to_vec();
-    let codec = GenCodec::new(&ds).expect("census hierarchies are complete");
-    let columns: Vec<&[u32]> = (0..NODE.len())
-        .map(|dim| codec.encoded_column(dim, NODE[dim]))
+    let codec = ChunkedCodec::resident(&ds).expect("census hierarchies are complete");
+    let encoded: Vec<Vec<u32>> = (0..NODE.len())
+        .map(|dim| codec.level_column(dim, NODE[dim]).expect("in-memory store"))
         .collect();
+    let columns: Vec<&[u32]> = encoded.iter().map(Vec::as_slice).collect();
 
     let iters = 20;
     out.push(entry("grouping", "hash", rows, iters, || {
@@ -254,8 +257,7 @@ fn lattice_benches(out: &mut Vec<BenchEntry>, sizes: &[usize]) {
     for &rows in sizes {
         let ds = census(rows);
         let lattice = Lattice::new(ds.schema().clone()).expect("census lattice");
-        let codec = GenCodec::new(&ds).expect("census hierarchies are complete");
-        codec.partition(&NODE).expect("valid node"); // warm the encodings
+        let codec = ChunkedCodec::resident(&ds).expect("census hierarchies are complete");
         let parent_levels: Vec<usize> = {
             let mut l = NODE.to_vec();
             l[0] -= 1;
@@ -300,7 +302,7 @@ fn property_extraction_benches(out: &mut Vec<BenchEntry>, sizes: &[usize]) {
     for &rows in sizes {
         let ds = census(rows);
         let lattice = Lattice::new(ds.schema().clone()).expect("census lattice");
-        let codec = GenCodec::new(&ds).expect("census hierarchies are complete");
+        let codec = ChunkedCodec::resident(&ds).expect("census hierarchies are complete");
 
         let iters = 10;
         out.push(entry(
@@ -318,7 +320,10 @@ fn property_extraction_benches(out: &mut Vec<BenchEntry>, sizes: &[usize]) {
         out.push(entry("property_extraction", "encoded", rows, iters, || {
             let partition = codec.partition(&NODE).expect("valid node");
             for p in &props {
-                std::hint::black_box(p.extract_encoded(&codec, &partition));
+                std::hint::black_box(
+                    p.extract_chunked(&codec, &partition)
+                        .expect("built-ins have chunked kernels"),
+                );
             }
         }));
     }

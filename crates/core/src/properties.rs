@@ -8,13 +8,11 @@
 //! the raw (un-negated) variant is available separately where useful.
 
 use anoncmp_microdata::loss::{
-    discernibility_vector, discernibility_vector_chunked, discernibility_vector_encoded,
-    precision_vector, precision_vector_chunked, precision_vector_encoded, LossMetric,
+    discernibility_vector, discernibility_vector_chunked, precision_vector,
+    precision_vector_chunked, LossMetric,
 };
 use anoncmp_microdata::parallel as chunk_parallel;
-use anoncmp_microdata::prelude::{
-    AnonymizedTable, ChunkedCodec, Dataset, GenCodec, NodePartition, Value,
-};
+use anoncmp_microdata::prelude::{AnonymizedTable, ChunkedCodec, NodePartition, Schema, Value};
 
 use crate::vector::{PropertySet, PropertyVector};
 
@@ -28,40 +26,22 @@ pub trait Property {
     fn extract(&self, table: &AnonymizedTable) -> PropertyVector;
 
     /// Measures the property directly from a codec partition — no table
-    /// materialization — returning a vector **bit-identical** to
-    /// [`Property::extract`] on the decoded node (same values, same
-    /// order, same name).
+    /// materialization, and no materialized dataset needed at all —
+    /// returning a vector **bit-identical** to [`Property::extract`] on
+    /// the decoded node (same values, same order, same name), or `None`
+    /// when the property has no codec kernel.
     ///
-    /// The default implementation decodes the node and falls back to
-    /// [`Property::extract`]; the built-in properties override it with
-    /// kernels that read class sizes, per-row class ids, and per-level
-    /// dictionaries straight from the codec.
-    ///
-    /// # Panics
-    /// If `partition` does not fit `codec` (mismatched levels or dataset),
-    /// consistent with the comparators' panics on mismatched dimensions.
-    fn extract_encoded(&self, codec: &GenCodec, partition: &NodePartition) -> PropertyVector {
-        let table = codec
-            .decode(partition.levels(), "encoded-extract")
-            .expect("partition levels fit the codec");
-        self.extract(&table)
-    }
-
-    /// Measures the property from the **out-of-core chunked store** — no
-    /// materialized dataset exists at all — returning a vector
-    /// bit-identical to [`Property::extract_encoded`] (and therefore to
-    /// [`Property::extract`] on the decoded node), or `None` when the
-    /// property has no chunked kernel.
-    ///
-    /// The default returns `None`: without a materialized table there is
-    /// no generic fallback, so custom properties opt in explicitly. All
-    /// nine built-ins override this with kernels that stream the chunked
+    /// The default returns `None`: a custom property opts in by
+    /// overriding this, and otherwise callers holding the dataset fall
+    /// back to [`Property::extract`] on
+    /// [`ChunkedCodec::decode`]`(dataset, partition.levels(), ..)`. All
+    /// nine built-ins override it with kernels that stream the chunked
     /// columns; their only O(rows) state is the per-row class-id vector
     /// (cached on the partition) and the output vector itself.
     ///
     /// # Panics
-    /// If `partition` does not fit `codec`, consistent with
-    /// [`Property::extract_encoded`].
+    /// If `partition` does not fit `codec` (mismatched levels or dataset),
+    /// consistent with the comparators' panics on mismatched dimensions.
     fn extract_chunked(
         &self,
         codec: &ChunkedCodec,
@@ -76,7 +56,7 @@ pub trait Property {
 /// the shared entry point of the chunked extractors.
 fn chunked_class_ids<'a>(codec: &ChunkedCodec, partition: &'a NodePartition) -> &'a [u32] {
     partition
-        .class_ids_chunked(codec)
+        .class_ids(codec)
         .expect("partition levels fit the codec")
 }
 
@@ -117,24 +97,15 @@ fn chunked_sensitive_counts(
     counts
 }
 
-fn resolve_sensitive_column_chunked(codec: &ChunkedCodec, column: Option<usize>) -> usize {
+/// The explicit sensitive column, or the schema's first sensitive
+/// attribute.
+fn resolve_sensitive_column(schema: &Schema, column: Option<usize>) -> usize {
     column.unwrap_or_else(|| {
-        *codec
-            .schema()
+        *schema
             .sensitive()
             .first()
             .expect("schema declares at least one sensitive attribute")
     })
-}
-
-/// Per-row class sizes under a partition — the shared kernel of the
-/// class-size-derived properties.
-fn encoded_class_sizes(codec: &GenCodec, partition: &NodePartition) -> Vec<u32> {
-    let ids = partition
-        .class_ids(codec)
-        .expect("partition levels fit the codec");
-    let sizes = partition.sizes();
-    ids.iter().map(|&c| sizes[c as usize]).collect()
 }
 
 /// Size of the equivalence class a tuple belongs to — the property behind
@@ -151,14 +122,6 @@ impl Property for EqClassSize {
     fn extract(&self, table: &AnonymizedTable) -> PropertyVector {
         let sizes: Vec<usize> = (0..table.len())
             .map(|t| table.classes().class_size_of(t))
-            .collect();
-        PropertyVector::from_usizes(self.name(), &sizes)
-    }
-
-    fn extract_encoded(&self, codec: &GenCodec, partition: &NodePartition) -> PropertyVector {
-        let sizes: Vec<usize> = encoded_class_sizes(codec, partition)
-            .into_iter()
-            .map(|s| s as usize)
             .collect();
         PropertyVector::from_usizes(self.name(), &sizes)
     }
@@ -206,14 +169,6 @@ impl Property for BreachProbability {
         self.raw(table).negated().renamed(self.name())
     }
 
-    fn extract_encoded(&self, codec: &GenCodec, partition: &NodePartition) -> PropertyVector {
-        let v: Vec<f64> = encoded_class_sizes(codec, partition)
-            .into_iter()
-            .map(|s| -(1.0 / s as f64))
-            .collect();
-        PropertyVector::new(self.name(), v)
-    }
-
     fn extract_chunked(
         &self,
         codec: &ChunkedCodec,
@@ -245,46 +200,13 @@ pub struct SensitiveValueCount {
     pub column: Option<usize>,
 }
 
-fn resolve_sensitive_column(table: &AnonymizedTable, column: Option<usize>) -> usize {
-    resolve_sensitive_column_of(table.dataset(), column)
-}
-
-fn resolve_sensitive_column_of(ds: &Dataset, column: Option<usize>) -> usize {
-    column.unwrap_or_else(|| {
-        *ds.schema()
-            .sensitive()
-            .first()
-            .expect("schema declares at least one sensitive attribute")
-    })
-}
-
-/// Per-`(class, sensitive value)` occurrence counts in one pass — the
-/// shared kernel of the encoded sensitive-value properties. Returns the
-/// per-row class ids alongside the count map.
-fn sensitive_counts<'a>(
-    codec: &'a GenCodec,
-    partition: &'a NodePartition,
-    col: usize,
-) -> (&'a [u32], std::collections::HashMap<(u32, Value), usize>) {
-    let ds = codec.dataset();
-    let ids = partition
-        .class_ids(codec)
-        .expect("partition levels fit the codec");
-    let mut counts: std::collections::HashMap<(u32, Value), usize> =
-        std::collections::HashMap::new();
-    for (row, &class) in ids.iter().enumerate() {
-        *counts.entry((class, *ds.value(row, col))).or_insert(0) += 1;
-    }
-    (ids, counts)
-}
-
 impl Property for SensitiveValueCount {
     fn name(&self) -> String {
         "sensitive-value-count".into()
     }
 
     fn extract(&self, table: &AnonymizedTable) -> PropertyVector {
-        let col = resolve_sensitive_column(table, self.column);
+        let col = resolve_sensitive_column(table.dataset().schema(), self.column);
         let ds = table.dataset();
         let counts: Vec<usize> = (0..table.len())
             .map(|t| {
@@ -301,24 +223,12 @@ impl Property for SensitiveValueCount {
         PropertyVector::from_usizes(self.name(), &counts)
     }
 
-    fn extract_encoded(&self, codec: &GenCodec, partition: &NodePartition) -> PropertyVector {
-        let ds = codec.dataset();
-        let col = resolve_sensitive_column_of(ds, self.column);
-        let (ids, counts) = sensitive_counts(codec, partition, col);
-        let v: Vec<usize> = ids
-            .iter()
-            .enumerate()
-            .map(|(row, &class)| counts[&(class, *ds.value(row, col))])
-            .collect();
-        PropertyVector::from_usizes(self.name(), &v)
-    }
-
     fn extract_chunked(
         &self,
         codec: &ChunkedCodec,
         partition: &NodePartition,
     ) -> Option<PropertyVector> {
-        let col = resolve_sensitive_column_chunked(codec, self.column);
+        let col = resolve_sensitive_column(codec.schema(), self.column);
         let ids = chunked_class_ids(codec, partition);
         let counts = chunked_sensitive_counts(codec, ids, col);
         let mut v: Vec<usize> = Vec::with_capacity(codec.rows());
@@ -359,7 +269,7 @@ impl Property for DistinctSensitiveCount {
     }
 
     fn extract(&self, table: &AnonymizedTable) -> PropertyVector {
-        let col = resolve_sensitive_column(table, self.column);
+        let col = resolve_sensitive_column(table.dataset().schema(), self.column);
         let ds = table.dataset();
         // Compute per class once, then scatter to tuples.
         let mut per_class: Vec<usize> = Vec::with_capacity(table.classes().class_count());
@@ -376,35 +286,12 @@ impl Property for DistinctSensitiveCount {
         PropertyVector::from_usizes(self.name(), &counts)
     }
 
-    fn extract_encoded(&self, codec: &GenCodec, partition: &NodePartition) -> PropertyVector {
-        let ds = codec.dataset();
-        let col = resolve_sensitive_column_of(ds, self.column);
-        let ids = partition
-            .class_ids(codec)
-            .expect("partition levels fit the codec");
-        // Distinct sensitive values per class, in one pass over the rows.
-        let mut per_class: Vec<Vec<Value>> = vec![Vec::new(); partition.class_count()];
-        for (row, &class) in ids.iter().enumerate() {
-            per_class[class as usize].push(*ds.value(row, col));
-        }
-        let distinct: Vec<usize> = per_class
-            .into_iter()
-            .map(|mut vals| {
-                vals.sort_unstable();
-                vals.dedup();
-                vals.len()
-            })
-            .collect();
-        let v: Vec<usize> = ids.iter().map(|&c| distinct[c as usize]).collect();
-        PropertyVector::from_usizes(self.name(), &v)
-    }
-
     fn extract_chunked(
         &self,
         codec: &ChunkedCodec,
         partition: &NodePartition,
     ) -> Option<PropertyVector> {
-        let col = resolve_sensitive_column_chunked(codec, self.column);
+        let col = resolve_sensitive_column(codec.schema(), self.column);
         let ids = chunked_class_ids(codec, partition);
         // Each `(class, code)` key occurs once per distinct sensitive value
         // present in that class, so counting keys counts distinct values.
@@ -437,7 +324,7 @@ pub struct TClosenessDistance {
 impl TClosenessDistance {
     /// Raw per-tuple distances in `[0, 1]` (lower is better).
     pub fn raw(&self, table: &AnonymizedTable) -> PropertyVector {
-        let col = resolve_sensitive_column(table, self.column);
+        let col = resolve_sensitive_column(table.dataset().schema(), self.column);
         let ds = table.dataset();
         let n = table.len() as f64;
         // Global distribution over observed sensitive values.
@@ -483,49 +370,12 @@ impl Property for TClosenessDistance {
         self.raw(table).negated().renamed(self.name())
     }
 
-    fn extract_encoded(&self, codec: &GenCodec, partition: &NodePartition) -> PropertyVector {
-        let ds = codec.dataset();
-        let col = resolve_sensitive_column_of(ds, self.column);
-        let n = codec.rows() as f64;
-        // Global distribution over observed sensitive values, in the same
-        // first-appearance order as the materialized path (the TV sum
-        // accumulates in this order, so the order matters bit-for-bit).
-        let mut global: Vec<(Value, f64)> = Vec::new();
-        for t in 0..codec.rows() {
-            let v = *ds.value(t, col);
-            match global.iter_mut().find(|(g, _)| *g == v) {
-                Some((_, c)) => *c += 1.0,
-                None => global.push((v, 1.0)),
-            }
-        }
-        for (_, c) in &mut global {
-            *c /= n;
-        }
-        let (ids, counts) = sensitive_counts(codec, partition, col);
-        let per_class: Vec<f64> = partition
-            .sizes()
-            .iter()
-            .enumerate()
-            .map(|(class, &size)| {
-                let m = size as f64;
-                let mut tv = 0.0;
-                for (gv, gp) in &global {
-                    let local = counts.get(&(class as u32, *gv)).copied().unwrap_or(0) as f64 / m;
-                    tv += (local - gp).abs();
-                }
-                tv / 2.0
-            })
-            .collect();
-        let v: Vec<f64> = ids.iter().map(|&c| -per_class[c as usize]).collect();
-        PropertyVector::new(self.name(), v)
-    }
-
     fn extract_chunked(
         &self,
         codec: &ChunkedCodec,
         partition: &NodePartition,
     ) -> Option<PropertyVector> {
-        let col = resolve_sensitive_column_chunked(codec, self.column);
+        let col = resolve_sensitive_column(codec.schema(), self.column);
         let n = codec.rows() as f64;
         // Global distribution over sensitive codes, in row-stream
         // first-appearance order. The code ↔ value bijection preserves the
@@ -630,14 +480,6 @@ impl Property for IyengarUtility {
         PropertyVector::new(self.name(), self.metric.utility_vector(table))
     }
 
-    fn extract_encoded(&self, codec: &GenCodec, partition: &NodePartition) -> PropertyVector {
-        let v = self
-            .metric
-            .utility_vector_encoded(codec, partition.levels())
-            .expect("partition levels fit the codec");
-        PropertyVector::new(self.name(), v)
-    }
-
     fn extract_chunked(
         &self,
         codec: &ChunkedCodec,
@@ -685,17 +527,6 @@ impl Property for GeneralizationLoss {
         self.raw(table).negated().renamed(self.name())
     }
 
-    fn extract_encoded(&self, codec: &GenCodec, partition: &NodePartition) -> PropertyVector {
-        let v: Vec<f64> = self
-            .metric
-            .loss_vector_encoded(codec, partition.levels())
-            .expect("partition levels fit the codec")
-            .into_iter()
-            .map(|l| -l)
-            .collect();
-        PropertyVector::new(self.name(), v)
-    }
-
     fn extract_chunked(
         &self,
         codec: &ChunkedCodec,
@@ -724,12 +555,6 @@ impl Property for Precision {
 
     fn extract(&self, table: &AnonymizedTable) -> PropertyVector {
         PropertyVector::new(self.name(), precision_vector(table))
-    }
-
-    fn extract_encoded(&self, codec: &GenCodec, partition: &NodePartition) -> PropertyVector {
-        let v = precision_vector_encoded(codec, partition.levels())
-            .expect("partition levels fit the codec");
-        PropertyVector::new(self.name(), v)
     }
 
     fn extract_chunked(
@@ -762,15 +587,6 @@ impl Property for Discernibility {
 
     fn extract(&self, table: &AnonymizedTable) -> PropertyVector {
         self.raw(table).negated().renamed(self.name())
-    }
-
-    fn extract_encoded(&self, codec: &GenCodec, partition: &NodePartition) -> PropertyVector {
-        let v: Vec<f64> = discernibility_vector_encoded(codec, partition)
-            .expect("partition levels fit the codec")
-            .into_iter()
-            .map(|d| -d)
-            .collect();
-        PropertyVector::new(self.name(), v)
     }
 
     fn extract_chunked(
@@ -904,30 +720,6 @@ mod tests {
         assert_eq!(d.values(), &[3.0; 6]);
         let dn = Discernibility.extract(&t);
         assert_eq!(dn.values(), &[-3.0; 6]);
-    }
-
-    #[test]
-    fn encoded_extraction_is_bit_identical_to_table_extraction() {
-        let t = fixture();
-        let codec = GenCodec::new(t.dataset()).unwrap();
-        let partition = codec.partition(&[1]).unwrap();
-        let props: Vec<Box<dyn Property>> = vec![
-            Box::new(EqClassSize),
-            Box::new(BreachProbability),
-            Box::new(SensitiveValueCount::default()),
-            Box::new(DistinctSensitiveCount::default()),
-            Box::new(TClosenessDistance::default()),
-            Box::new(IyengarUtility::with_metric(LossMetric::paper_ratio())),
-            Box::new(GeneralizationLoss::classic()),
-            Box::new(Precision),
-            Box::new(Discernibility),
-        ];
-        for p in &props {
-            let from_table = p.extract(&t);
-            let from_codec = p.extract_encoded(&codec, &partition);
-            assert_eq!(from_table.name(), from_codec.name(), "{}", p.name());
-            assert_eq!(from_table.values(), from_codec.values(), "{}", p.name());
-        }
     }
 
     #[test]

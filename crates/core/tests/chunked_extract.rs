@@ -1,9 +1,12 @@
-//! Property-based equivalence for the chunked extraction path: on
-//! arbitrary tables, lattice nodes, chunk sizes (degenerate,
-//! non-dividing, oversized), and worker thread counts {1, 2, 8},
+//! Property-based equivalence for the codec kernels: on arbitrary tables,
+//! lattice nodes, chunk sizes (degenerate, non-dividing, oversized, one
+//! resident block), and worker thread counts {1, 2, 8},
 //! `Property::extract_chunked` must reproduce the materialized
-//! `Property::extract` bit for bit for all nine built-in properties.
-//! Thread count must never be observable in any extracted vector.
+//! `Property::extract` bit for bit for all nine built-in properties, and
+//! custom properties fall back to extracting from the decoded node.
+//! Thread count must never be observable in any extracted vector. The
+//! batched [`ComparisonMatrix`] kernel must likewise reproduce the scalar
+//! `Comparator::compare` sweep on every comparator.
 
 use std::sync::Arc;
 
@@ -12,7 +15,8 @@ use proptest::prelude::*;
 use anoncmp_core::prelude::*;
 use anoncmp_microdata::loss::LossMetric;
 use anoncmp_microdata::prelude::{
-    Attribute, ChunkedCodec, Dataset, IntervalLadder, Lattice, Role, Schema, Taxonomy, Value,
+    AnonymizedTable, Attribute, ChunkedCodec, Dataset, IntervalLadder, Lattice, Role, Schema,
+    Taxonomy, Value,
 };
 
 fn small_schema() -> Arc<Schema> {
@@ -90,6 +94,100 @@ proptest! {
                         );
                     }
                 }
+            }
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn custom_properties_fall_back_to_the_decoded_node(
+        rows in arb_rows(),
+        l0 in 0usize..4,
+        l1 in 0usize..3,
+    ) {
+        // A property without a codec kernel: the per-tuple class count.
+        struct ClassCount;
+        impl Property for ClassCount {
+            fn name(&self) -> String {
+                "class-count".into()
+            }
+            fn extract(&self, table: &AnonymizedTable) -> PropertyVector {
+                let n = table.classes().class_count() as f64;
+                PropertyVector::new(self.name(), vec![n; table.len()])
+            }
+        }
+        let schema = small_schema();
+        let ds = Dataset::new(schema.clone(), rows).expect("rows are in-domain");
+        let lattice = Lattice::new(schema).expect("lattice");
+        let table = lattice.apply(&ds, &[l0, l1], "t").expect("valid levels");
+        let codec = ChunkedCodec::resident(&ds).expect("resident build");
+        let partition = codec.partition(&[l0, l1]).expect("valid levels");
+        prop_assert!(ClassCount.extract_chunked(&codec, &partition).is_none());
+        let decoded = codec.decode(&ds, partition.levels(), "t").expect("decode");
+        prop_assert_eq!(ClassCount.extract(&decoded), ClassCount.extract(&table));
+    }
+}
+
+fn arb_pool() -> impl Strategy<Value = Vec<PropertyVector>> {
+    (2usize..7, 1usize..9).prop_flat_map(|(m, n)| {
+        proptest::collection::vec(
+            proptest::collection::vec(0.1f64..10.0, n..=n)
+                .prop_map(|values| PropertyVector::new("p", values)),
+            m..=m,
+        )
+    })
+}
+
+proptest! {
+    #[test]
+    fn matrix_kernel_matches_scalar_sweep(pool in arb_pool()) {
+        let names: Vec<String> = (0..pool.len()).map(|i| i.to_string()).collect();
+        let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
+        let refs: Vec<&PropertyVector> = pool.iter().collect();
+        let comparators: Vec<Box<dyn Comparator>> = vec![
+            Box::new(CoverageComparator),
+            Box::new(SpreadComparator),
+            Box::new(RankComparator::toward_ideal_of(&refs)),
+            Box::new(RankComparator::toward_ideal_of(&refs).with_epsilon(0.5)),
+            Box::new(HypervolumeComparator::with_mode(HvMode::Exact)),
+            Box::new(HypervolumeComparator::with_mode(HvMode::Log)),
+            Box::new(EpsilonComparator::default()),
+            Box::new(EpsilonComparator { kind: EpsilonKind::Multiplicative }),
+            Box::new(DominanceComparator),
+        ];
+        for c in &comparators {
+            let matrix = ComparisonMatrix::of_vectors(&name_refs, &pool, c.as_ref());
+            for i in 0..pool.len() {
+                for j in 0..pool.len() {
+                    let expected = if i == j {
+                        Preference::Tie
+                    } else {
+                        c.compare(&pool[i], &pool[j])
+                    };
+                    prop_assert_eq!(
+                        matrix.outcome(i, j),
+                        expected,
+                        "{} diverges at ({}, {})",
+                        c.name(),
+                        i,
+                        j
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_matrix_matches_sequential(pool in arb_pool(), threads in 1usize..5) {
+        let names: Vec<String> = (0..pool.len()).map(|i| i.to_string()).collect();
+        let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
+        let sequential = ComparisonMatrix::of_vectors(&name_refs, &pool, &CoverageComparator);
+        let parallel =
+            ComparisonMatrix::of_vectors_parallel(&name_refs, &pool, &CoverageComparator, threads);
+        for i in 0..pool.len() {
+            for j in 0..pool.len() {
+                prop_assert_eq!(sequential.outcome(i, j), parallel.outcome(i, j));
             }
         }
     }

@@ -1,8 +1,8 @@
 //! Streaming-generator determinism: the iterator row sources must yield
 //! exactly the rows the monolithic generators materialize, and feeding
-//! them to the chunked codec must reproduce the in-memory codec's
-//! partitions at every chunk size (including sizes that do not divide the
-//! row count and sizes larger than it).
+//! them to the chunked codec must reproduce the partitions of the
+//! materialized dataset's resident codec at every chunk size (including
+//! sizes that do not divide the row count and sizes larger than it).
 
 use anoncmp_datagen::{
     census_schema, generate, generate_hospital, hospital_schema, CensusConfig, CensusRows,
@@ -60,7 +60,7 @@ fn chunked_codec_over_census_stream_matches_in_memory_codec() {
         zip_pool: 20,
     };
     let ds = generate(&cfg);
-    let codec = GenCodec::new(&ds).unwrap();
+    let codec = ChunkedCodec::resident(&ds).unwrap();
     let node = [2usize, 2, 1, 1, 1, 0];
     let expected = codec.partition(&node).unwrap();
     for chunk_rows in [1, 7, 64, 251] {
@@ -85,7 +85,7 @@ fn chunked_codec_over_census_stream_matches_in_memory_codec() {
 fn chunked_codec_over_hospital_stream_matches_in_memory_codec() {
     let cfg = HospitalConfig { rows: 180, seed: 3 };
     let ds = generate_hospital(&cfg);
-    let codec = GenCodec::new(&ds).unwrap();
+    let codec = ChunkedCodec::resident(&ds).unwrap();
     let node = [2usize, 2, 1, 1];
     let expected = codec.partition(&node).unwrap();
     for chunk_rows in [1, 7, 64, 181] {

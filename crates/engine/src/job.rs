@@ -813,7 +813,6 @@ mod tests {
 
     #[test]
     fn chunked_codec_matches_materialized_codec() {
-        use anoncmp_microdata::prelude::GenCodec;
         for spec in [
             DatasetSpec::Census {
                 rows: 120,
@@ -826,7 +825,7 @@ mod tests {
                 DatasetSpec::Census { .. } => vec![2, 2, 1, 1, 1, 0],
                 _ => vec![2, 2, 1, 1],
             };
-            let expected = GenCodec::new(&spec.materialize())
+            let expected = ChunkedCodec::resident(&spec.materialize())
                 .unwrap()
                 .partition(&node)
                 .unwrap();

@@ -78,9 +78,10 @@ impl EquivalenceClasses {
         EquivalenceClasses { class_of, members }
     }
 
-    /// Groups `rows` tuples by their per-column `u32` code slices — the
-    /// dictionary-encoded fast path used by
-    /// [`GenCodec`](crate::codec::GenCodec). Produces the **identical
+    /// Groups `rows` tuples by their per-column `u32` code slices (such as
+    /// the generalized codes a
+    /// [`ChunkedCodec`](crate::chunked::ChunkedCodec) streams). Produces
+    /// the **identical
     /// partition with identical first-appearance numbering** as
     /// [`group_by_hash`](Self::group_by_hash) on the decoded records,
     /// because dictionary codes are in bijection with generalized values

@@ -1,43 +1,77 @@
-//! Out-of-core chunked column store + streaming grouping.
+//! The dictionary-encoded, chunked generalization codec — the one
+//! encoded substrate every lattice search, property kernel and loss
+//! kernel runs on.
 //!
-//! [`GenCodec`](crate::codec::GenCodec) materializes whole `Vec<u32>`
-//! columns, so its peak memory is O(rows · dims) and every bench stops
-//! where RAM does. This module restructures the encoded path around
-//! **fixed-size column chunks**: each quasi-identifier's raw codes live as
-//! a sequence of `chunk_rows`-sized `u32` blocks, either in memory or
-//! spilled to a simple on-disk column file (little-endian `u32`s, nothing
-//! else). Grouping streams those blocks: each chunk builds a *partial
-//! frequency set* — class sizes, representatives, and packed keys in
-//! within-chunk first-appearance order — which is merged into the global
-//! map chunk-by-chunk. Peak memory is O(chunk + classes), never O(rows),
-//! unless per-row class ids are explicitly requested.
+//! Evaluating a lattice node through
+//! [`Lattice::apply`](crate::lattice::Lattice::apply) materializes a
+//! complete `Vec<Vec<GenValue>>` table and re-hashes every tuple
+//! signature. Under full-domain recoding almost all of that work is
+//! redundant: the generalized value of a cell depends only on `(column,
+//! raw value, level)`, and a column holds few distinct raw values compared
+//! to its row count. [`ChunkedCodec`] therefore interns, per
+//! quasi-identifier column:
 //!
-//! ## Bit-identity with the monolithic path
+//! * a **raw code** per row (`u32`, an index into the column's sorted
+//!   distinct values, the order of [`Dataset::distinct`]);
+//! * per generalization level, a `Vec<u32>` **code map** from raw code to
+//!   *generalized code*, plus the interned dictionary `Vec<GenValue>` those
+//!   generalized codes index.
 //!
-//! The streaming pass is not an approximation — it produces the *same*
-//! [`NodePartition`] the in-memory path does, by construction:
+//! Raw codes live as fixed-size `chunk_rows` blocks, either resident in
+//! memory or spilled to a simple on-disk column file (little-endian `u32`s,
+//! nothing else). Grouping a node streams those blocks, packs each row's
+//! generalized codes into one `u64` key (or a code tuple when the widths
+//! exceed 64 bits) and numbers classes in first-appearance order. Peak
+//! memory beyond the store is O(chunk + classes), never O(rows), unless
+//! per-row class ids are explicitly requested. A dataset that fits in
+//! memory is encoded as a single resident chunk
+//! ([`ChunkedCodec::resident`]); its blocks are borrowed, never copied.
 //!
-//! - **Dictionaries** are built from the per-column distinct-value summary
-//!   by the same ascending-raw-code interning loop `GenCodec::new` runs,
-//!   so codes and dictionary order match exactly.
+//! Decoding back to a displayable [`AnonymizedTable`] happens only for the
+//! node a search actually releases ([`ChunkedCodec::decode`]).
+//!
+//! ## Bit-identity across chunkings and thread counts
+//!
+//! - **Dictionaries** are interned in ascending raw-code order, so codes
+//!   and dictionary order do not depend on how rows were chunked or
+//!   streamed.
 //! - **Packed keys** shift by the *global* dictionary sizes (not per-chunk
-//!   maxima), so equal rows hash equal regardless of which chunk holds
-//!   them (see [`packing_shifts`](crate::codec)).
-//! - **Class numbering** stays first-appearance: chunks merge in row
-//!   order, and each chunk's partial set is itself in first-appearance
-//!   order, so the k-th new key globally is assigned id k — exactly the
-//!   numbering [`EncodedView::sizes_and_reps`] produces.
+//!   maxima), so equal rows key equal regardless of which chunk holds them.
+//! - **Class numbering** stays first-appearance: chunks are merged in row
+//!   order, so the k-th new key is assigned id k — exactly the numbering
+//!   [`EquivalenceClasses::group_by_hash`] gives the materialized table.
 //!
-//! Proptests in `tests/chunked_equivalence.rs` pin this across chunk
-//! sizes, including sizes that do not divide the row count.
+//! Proptests in `tests/chunked_equivalence.rs` pin this against the
+//! materialized table across chunk sizes, including sizes that do not
+//! divide the row count.
+//!
+//! ## The class-merge invariant
+//!
+//! Stepping up one level in a *nested* hierarchy (a
+//! [`Taxonomy`](crate::taxonomy::Taxonomy), or an
+//! [`IntervalLadder`](crate::intervals::IntervalLadder) built with
+//! [`new_nested`](crate::intervals::IntervalLadder::new_nested)) can only
+//! **merge** equivalence classes, never split them. When that invariant
+//! holds for a dimension ([`ChunkedCodec::is_monotone`]), a successor
+//! node's partition can be derived from its parent's by re-keying one
+//! *representative row per parent class* — O(#classes) instead of
+//! O(#rows) — via [`ChunkedCodec::coarsen`]. Ladders built with
+//! [`new_unchecked`](crate::intervals::IntervalLadder::new_unchecked) may
+//! violate it (the paper's T3a/T3b/T4 ladders shift origins between
+//! levels); the codec detects this at construction and refuses to coarsen
+//! across a non-nested column, so callers fall back to
+//! [`ChunkedCodec::partition`].
+//!
+//! [`EquivalenceClasses::group_by_hash`]: crate::anonymized::EquivalenceClasses::group_by_hash
 
 use std::collections::{BTreeSet, HashMap};
 use std::fs::{self, File};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
+use crate::anonymized::AnonymizedTable;
 use crate::codec::{packing_shifts, NodePartition};
 use crate::dataset::{Dataset, DistinctValues};
 use crate::error::{Error, Result};
@@ -54,12 +88,18 @@ use crate::value::{GenValue, Value};
 /// short lattices still fan out.
 const COARSEN_BATCH: usize = 4096;
 
+/// Optional receiver of a grouping pass's per-row class ids, handed over
+/// one chunk at a time in row order.
+type IdSink<'a> = Option<&'a mut dyn FnMut(&[u32])>;
+
 /// Where a [`ChunkedCodec`] keeps its column blocks.
 #[derive(Debug, Clone)]
 pub enum ChunkStore {
-    /// Blocks stay in memory (`Vec<Vec<u32>>` per column). Peak memory is
-    /// O(rows), but grouping still runs chunk-at-a-time — useful for
-    /// equivalence testing and mid-size data.
+    /// Blocks stay in memory (`Vec<Vec<u32>>` per column) and are
+    /// borrowed in place. Peak memory is O(rows). A single-block store
+    /// ([`ChunkedCodec::resident`]) additionally caches each
+    /// `(dimension, level)`'s generalized codes on first use, so lattice
+    /// searches over in-memory data re-key each level once.
     Memory,
     /// Blocks spill to one raw little-endian `u32` file per column inside
     /// this directory (created if absent). Peak memory is O(chunk +
@@ -134,6 +174,15 @@ impl ChunkedColumn {
         ColumnReader {
             column: self,
             file: None,
+        }
+    }
+
+    /// Block `chunk` borrowed in place, for columns resident in memory;
+    /// `None` for spilled columns.
+    fn resident_chunk(&self, chunk: usize) -> Option<&[u32]> {
+        match &self.storage {
+            Storage::Memory(chunks) => Some(&chunks[chunk]),
+            Storage::Disk(_) => None,
         }
     }
 
@@ -365,8 +414,7 @@ impl ColumnWriter {
 }
 
 /// One quasi-identifier dimension of a [`ChunkedCodec`]: raw codes as a
-/// chunked column plus the same per-level code maps / dictionaries
-/// [`GenCodec`](crate::codec::GenCodec) interns.
+/// chunked column plus the per-level code maps and dictionaries.
 #[derive(Debug)]
 struct ChunkedDim {
     col: usize,
@@ -375,10 +423,19 @@ struct ChunkedDim {
     levels: Vec<ChunkLevel>,
 }
 
+/// Per-level interned dictionary of one quasi-identifier dimension.
 #[derive(Debug)]
 struct ChunkLevel {
+    /// `code_map[raw_code]` is the generalized code at this level.
     code_map: Vec<u32>,
+    /// `dict[gen_code]` is the generalized value (first-appearance order
+    /// over ascending raw codes).
     dict: Vec<GenValue>,
+    /// Every row's generalized code, gathered on first use when the raw
+    /// column is one resident block and shared by every node that
+    /// generalizes this dimension to this level. Spilled and multi-block
+    /// columns never fill it; they gather chunk-at-a-time instead.
+    resident: OnceLock<Vec<u32>>,
 }
 
 /// A non-quasi-identifier column (sensitive or insensitive), stored as
@@ -390,14 +447,46 @@ struct ChunkedExtra {
     codes: ChunkedColumn,
 }
 
-/// The out-of-core counterpart of [`GenCodec`](crate::codec::GenCodec):
-/// per-dimension chunked raw-code columns plus interned per-level
-/// dictionaries, with a streaming grouping pass whose results are
-/// bit-identical to the monolithic path (see the module docs).
+/// The dictionary-encoded columnar view of a dataset under full-domain
+/// generalization: per-dimension chunked raw-code columns plus interned
+/// per-level dictionaries, with a streaming grouping pass whose results
+/// are bit-identical to grouping the materialized table (see the module
+/// docs).
 ///
 /// Built either [from a materialized dataset](ChunkedCodec::from_dataset)
 /// or [from a deterministic row stream](ChunkedCodec::from_rows) — the
-/// latter never holds more than one chunk of any column in memory.
+/// latter never holds more than one chunk of any column in memory. Build
+/// one per `(dataset, schema)` pair and share it across an entire lattice
+/// search.
+///
+/// ```
+/// use anoncmp_microdata::prelude::*;
+///
+/// let schema = Schema::new(vec![
+///     Attribute::integer("age", Role::QuasiIdentifier, 0, 100)
+///         .with_hierarchy(IntervalLadder::uniform(0, &[10, 20]).unwrap().into())
+///         .unwrap(),
+///     Attribute::categorical("d", Role::Sensitive, ["x", "y"]),
+/// ])
+/// .unwrap();
+/// let ds = Dataset::new(
+///     schema,
+///     vec![
+///         vec![Value::Int(15), Value::Cat(0)],
+///         vec![Value::Int(18), Value::Cat(1)],
+///         vec![Value::Int(25), Value::Cat(0)],
+///     ],
+/// )
+/// .unwrap();
+/// let codec = ChunkedCodec::resident(&ds).unwrap();
+/// // 15 and 18 share the (10,20] bucket at level 1.
+/// let part = codec.partition(&[1]).unwrap();
+/// assert_eq!(part.class_count(), 2);
+/// assert_eq!(part.min_class_size(), 1);
+/// // The decoded table matches Lattice::apply exactly.
+/// let table = codec.decode(&ds, &[1], "demo").unwrap();
+/// assert_eq!(table.cell(0, 0), &GenValue::Interval { lo: 10, hi: 20 });
+/// ```
 #[derive(Debug)]
 pub struct ChunkedCodec {
     schema: Arc<Schema>,
@@ -420,26 +509,66 @@ enum DistinctSet {
 }
 
 impl ChunkedCodec {
+    /// Builds the codec of a materialized dataset as **one resident
+    /// chunk** — the substrate every lattice search runs on. Grouping
+    /// borrows the single block in place and runs on the calling thread.
+    ///
+    /// # Errors
+    /// As [`ChunkedCodec::from_dataset_in`].
+    pub fn resident(dataset: &Arc<Dataset>) -> Result<Self> {
+        Self::from_dataset(dataset, dataset.len().max(1))
+    }
+
     /// Builds an in-memory chunked codec over a materialized dataset.
     ///
     /// # Errors
-    /// As [`ChunkedCodec::from_rows`].
+    /// As [`ChunkedCodec::from_dataset_in`].
     pub fn from_dataset(dataset: &Arc<Dataset>, chunk_rows: usize) -> Result<Self> {
         Self::from_dataset_in(dataset, chunk_rows, ChunkStore::Memory)
     }
 
     /// Builds a chunked codec over a materialized dataset with an explicit
-    /// backing store.
+    /// backing store. The dataset's own distinct-value summaries supply
+    /// the dictionaries, so the result is identical to
+    /// [`ChunkedCodec::from_rows`] over the dataset's rows without a
+    /// second validation pass.
     ///
     /// # Errors
-    /// As [`ChunkedCodec::from_rows`].
+    /// `chunk_rows` must be ≥ 1 ([`Error::InvalidDataset`]); a
+    /// quasi-identifier without a hierarchy is [`Error::MissingHierarchy`];
+    /// spill-file failures are [`Error::Io`].
     pub fn from_dataset_in(
         dataset: &Arc<Dataset>,
         chunk_rows: usize,
         store: ChunkStore,
     ) -> Result<Self> {
+        Self::check_chunk_rows(chunk_rows)?;
         let schema = dataset.schema().clone();
-        Self::from_rows(schema, || dataset.rows().iter().cloned(), chunk_rows, store)
+        let distinct: Vec<DistinctValues> = (0..schema.len())
+            .map(|col| dataset.distinct(col).clone())
+            .collect();
+        let columns = (0..schema.len())
+            .map(|col| {
+                let mut writer = ColumnWriter::new(chunk_rows, &store, &format!("col{col}"))?;
+                for row in dataset.rows() {
+                    writer.push(
+                        distinct[col]
+                            .code_of(&row[col])
+                            .expect("dataset values appear in their own distinct summary"),
+                    )?;
+                }
+                writer.finish()
+            })
+            .collect::<Result<Vec<_>>>()?;
+        Self::assemble(
+            schema,
+            dataset.len(),
+            chunk_rows,
+            &store,
+            1,
+            distinct,
+            columns,
+        )
     }
 
     /// Builds a chunked codec from a **deterministic** row stream, without
@@ -493,11 +622,7 @@ impl ChunkedCodec {
     where
         I: Iterator<Item = Vec<Value>>,
     {
-        if chunk_rows == 0 {
-            return Err(Error::InvalidDataset(
-                "chunk_rows must be at least 1".into(),
-            ));
-        }
+        Self::check_chunk_rows(chunk_rows)?;
         let build_threads = parallel::resolve_threads(threads);
         // Work-item granularity: one column block, capped so the bounded
         // pipeline window never buffers more than a few MiB of row data
@@ -553,7 +678,7 @@ impl ChunkedCodec {
             .collect();
 
         // Pass 2: re-stream, assigning dense raw codes (index into the
-        // sorted distinct values — identical to GenCodec's assignment) and
+        // sorted distinct values, as `from_dataset_in` assigns them) and
         // writing fixed-size blocks. Workers encode whole items; the
         // in-order merge appends each item's per-column codes to the
         // writers, so the column files are byte-identical to the
@@ -607,18 +732,38 @@ impl ChunkedCodec {
             return Err(Self::nondeterministic_stream());
         }
 
-        // Per-level dictionaries over the distinct values — the identical
-        // interning loop GenCodec::new runs, so codes and dictionary order
-        // match the monolithic path exactly.
-        let mut dims = Vec::with_capacity(schema.quasi_identifiers().len());
-        let mut extras = Vec::new();
-        let mut columns: Vec<Option<ChunkedColumn>> = writers
+        let columns = writers
             .into_iter()
             .map(ColumnWriter::finish)
-            .collect::<Result<Vec<_>>>()?
-            .into_iter()
-            .map(Some)
-            .collect();
+            .collect::<Result<Vec<_>>>()?;
+        Self::assemble(schema, rows, chunk_rows, &store, threads, distinct, columns)
+    }
+
+    fn check_chunk_rows(chunk_rows: usize) -> Result<()> {
+        if chunk_rows == 0 {
+            return Err(Error::InvalidDataset(
+                "chunk_rows must be at least 1".into(),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Interns the per-level dictionaries of every quasi-identifier over
+    /// its distinct values (ascending raw codes, so dictionary order is
+    /// independent of how the rows arrived) and files the encoded schema
+    /// columns as dimensions or extras.
+    fn assemble(
+        schema: Arc<Schema>,
+        rows: usize,
+        chunk_rows: usize,
+        store: &ChunkStore,
+        threads: usize,
+        distinct: Vec<DistinctValues>,
+        columns: Vec<ChunkedColumn>,
+    ) -> Result<Self> {
+        let mut dims = Vec::with_capacity(schema.quasi_identifiers().len());
+        let mut extras = Vec::new();
+        let mut columns: Vec<Option<ChunkedColumn>> = columns.into_iter().map(Some).collect();
         for &col in schema.quasi_identifiers() {
             let attr = schema.attribute(col);
             let hierarchy = attr
@@ -639,8 +784,15 @@ impl ChunkedCodec {
                     }
                     code_map.push(code);
                 }
-                levels.push(ChunkLevel { code_map, dict });
+                levels.push(ChunkLevel {
+                    code_map,
+                    dict,
+                    resident: OnceLock::new(),
+                });
             }
+            // Class-merge invariant: each level map must be a function of
+            // the previous level's map (same code at level l ⇒ same code
+            // at level l+1).
             let monotone = levels.windows(2).all(|w| {
                 let (finer, coarser) = (&w[0], &w[1]);
                 let mut parent: Vec<Option<u32>> = vec![None; finer.dict.len()];
@@ -818,11 +970,11 @@ impl ChunkedCodec {
         &self.distinct[col]
     }
 
-    /// Validates a full-dimensional level vector, exactly as
-    /// [`GenCodec::validate`](crate::codec::GenCodec::validate).
+    /// Validates a full-dimensional level vector.
     ///
     /// # Errors
-    /// [`Error::ArityMismatch`] / [`Error::LevelOutOfRange`].
+    /// [`Error::ArityMismatch`] / [`Error::LevelOutOfRange`], as
+    /// [`Lattice::validate`](crate::lattice::Lattice::validate).
     pub fn validate(&self, levels: &[usize]) -> Result<()> {
         if levels.len() != self.dims.len() {
             return Err(Error::ArityMismatch {
@@ -830,7 +982,16 @@ impl ChunkedCodec {
                 actual: levels.len(),
             });
         }
-        for (dim, &level) in levels.iter().enumerate() {
+        self.validate_levels(0..self.dims.len(), levels)
+    }
+
+    /// Range-checks `levels` against the dimensions they generalize.
+    fn validate_levels(
+        &self,
+        dims: impl IntoIterator<Item = usize>,
+        levels: &[usize],
+    ) -> Result<()> {
+        for (dim, &level) in dims.into_iter().zip(levels) {
             let max = self.max_level(dim);
             if level > max {
                 let attr = self.schema.attribute(self.dims[dim].col);
@@ -844,31 +1005,47 @@ impl ChunkedCodec {
         Ok(())
     }
 
+    /// The raw-code → generalized-code map of dimension `dim` at `level`.
+    fn code_map(&self, dim: usize, level: usize) -> &[u32] {
+        &self.dims[dim].levels[level].code_map
+    }
+
+    /// Bit layout for packing the generalized codes of `dims` at `levels`
+    /// into one `u64` key (see [`packing_shifts`]).
+    fn shifts(&self, dims: &[usize], levels: &[usize]) -> Option<Vec<u32>> {
+        let dict_sizes: Vec<u32> = dims
+            .iter()
+            .zip(levels)
+            .map(|(&dim, &level)| self.distinct_at(dim, level) as u32)
+            .collect();
+        packing_shifts(&dict_sizes)
+    }
+
     /// Streams the raw blocks of `columns` strictly in chunk order,
-    /// calling `f(chunk, row_base, len, &raws)` with `raws[i]` holding
-    /// column `i`'s codes. For on-disk stores the blocks are read ahead
-    /// on a **dedicated I/O thread** through a bounded double buffer
-    /// ([`PREFETCH_DEPTH`] blocks deep), so decode/group compute overlaps
-    /// the reads; consumption order — and therefore every downstream
-    /// merge — is unchanged.
+    /// calling `f(chunk, row_base, &raws)` with `raws[i]` holding column
+    /// `i`'s codes. Resident blocks are borrowed in place. For on-disk
+    /// stores the blocks are read ahead on a **dedicated I/O thread**
+    /// through a bounded double buffer ([`PREFETCH_DEPTH`] blocks deep),
+    /// so decode/group compute overlaps the reads; consumption order — and
+    /// therefore every downstream merge — is unchanged.
     fn stream_blocks<F>(&self, columns: &[&ChunkedColumn], mut f: F) -> Result<()>
     where
-        F: FnMut(usize, usize, usize, &[Vec<u32>]) -> Result<()>,
+        F: FnMut(usize, usize, &[&[u32]]) -> Result<()>,
     {
         let chunk_count = self.chunk_count();
         if columns.is_empty() || chunk_count == 0 {
             return Ok(());
         }
         if !self.on_disk {
-            let mut readers: Vec<ChunkReader<'_>> =
-                columns.iter().map(|c| c.chunk_reader()).collect();
-            let mut raws: Vec<Vec<u32>> = vec![Vec::new(); columns.len()];
+            let mut raws: Vec<&[u32]> = Vec::with_capacity(columns.len());
             for chunk in 0..chunk_count {
-                let mut len = 0usize;
-                for (i, reader) in readers.iter_mut().enumerate() {
-                    len = reader.read_into(chunk, &mut raws[i])?;
-                }
-                f(chunk, chunk * self.chunk_rows, len, &raws)?;
+                raws.clear();
+                raws.extend(
+                    columns
+                        .iter()
+                        .map(|c| c.resident_chunk(chunk).expect("memory store")),
+                );
+                f(chunk, chunk * self.chunk_rows, &raws)?;
             }
             return Ok(());
         }
@@ -913,8 +1090,8 @@ impl ChunkedCodec {
                 };
                 match read {
                     Ok(raws) => {
-                        let len = raws[0].len();
-                        if let Err(e) = f(chunk, chunk * self.chunk_rows, len, &raws) {
+                        let views: Vec<&[u32]> = raws.iter().map(Vec::as_slice).collect();
+                        if let Err(e) = f(chunk, chunk * self.chunk_rows, &views) {
                             outcome = Err(e);
                         }
                         recycled.push(raws);
@@ -931,191 +1108,139 @@ impl ChunkedCodec {
         outcome
     }
 
-    /// Streams the generalized codes of one node chunk-at-a-time:
-    /// `f(row_base, len, bufs)` where `bufs[d][0..len]` holds dimension
-    /// `d`'s codes at `levels[d]` for rows `row_base..row_base + len`.
-    /// Raw→level re-keying runs through the branch-free
-    /// [`gather_u32`](crate::kernels::gather_u32) kernel; on-disk blocks
-    /// are prefetched (see [`ChunkedCodec::stream_blocks`]).
-    fn stream_node<F>(&self, levels: &[usize], mut f: F) -> Result<()>
-    where
-        F: FnMut(usize, usize, &[Vec<u32>]) -> Result<()>,
-    {
-        if self.dims.is_empty() {
-            // No quasi-identifiers: synthesize empty-column chunks so the
-            // grouping pass still sees every row (all rows share the empty
-            // signature, matching EncodedView's no-column special case).
-            let empty: Vec<Vec<u32>> = Vec::new();
-            let mut row_base = 0;
-            while row_base < self.rows {
-                let len = self.chunk_rows.min(self.rows - row_base);
-                f(row_base, len, &empty)?;
-                row_base += len;
-            }
-            return Ok(());
+    /// Dimension `dim`'s generalized codes at `level` for every row,
+    /// gathered once and cached — only when the raw column is one
+    /// resident block; `None` for spilled or multi-block columns.
+    fn resident_level(&self, dim: usize, level: usize) -> Option<&[u32]> {
+        let column = &self.dims[dim].raw;
+        if column.chunk_count() != 1 {
+            return None;
         }
-        let columns: Vec<&ChunkedColumn> = self.dims.iter().map(|d| &d.raw).collect();
-        let mut bufs: Vec<Vec<u32>> = vec![Vec::new(); self.dims.len()];
-        self.stream_blocks(&columns, |_, row_base, len, raws| {
-            for (d, raw) in raws.iter().enumerate() {
-                let code_map = &self.dims[d].levels[levels[d]].code_map;
-                bufs[d].clear();
-                bufs[d].resize(len, 0);
-                kernels::gather_u32(&mut bufs[d], raw, code_map);
+        let raw = column.resident_chunk(0)?;
+        let lc = &self.dims[dim].levels[level];
+        Some(lc.resident.get_or_init(|| {
+            let mut codes = vec![0; raw.len()];
+            kernels::gather_u32(&mut codes, raw, &lc.code_map);
+            codes
+        }))
+    }
+
+    /// Streams the generalized codes of `dims` at `levels` (aligned)
+    /// chunk-at-a-time: `f(row_base, codes)` where `codes[i]` holds the
+    /// chunk's codes of `dims[i]`. Single-block resident columns are
+    /// served whole from the per-level cache; otherwise raw blocks stream
+    /// (prefetched from disk, see [`ChunkedCodec::stream_blocks`]) and are
+    /// re-keyed through the branch-free
+    /// [`gather_u32`](crate::kernels::gather_u32) kernel.
+    fn stream_levels<F>(&self, dims: &[usize], levels: &[usize], mut f: F) -> Result<()>
+    where
+        F: FnMut(usize, &[&[u32]]) -> Result<()>,
+    {
+        let resident: Option<Vec<&[u32]>> = dims
+            .iter()
+            .zip(levels)
+            .map(|(&dim, &level)| self.resident_level(dim, level))
+            .collect();
+        if let Some(codes) = resident {
+            return f(0, &codes);
+        }
+        let columns: Vec<&ChunkedColumn> = dims.iter().map(|&d| &self.dims[d].raw).collect();
+        let mut bufs: Vec<Vec<u32>> = vec![Vec::new(); dims.len()];
+        self.stream_blocks(&columns, |_, row_base, raws| {
+            for (((buf, raw), &dim), &level) in bufs.iter_mut().zip(raws).zip(dims).zip(levels) {
+                buf.clear();
+                buf.resize(raw.len(), 0);
+                kernels::gather_u32(buf, raw, self.code_map(dim, level));
             }
-            f(row_base, len, &bufs)
+            let codes: Vec<&[u32]> = bufs.iter().map(Vec::as_slice).collect();
+            f(row_base, &codes)
         })
     }
 
-    /// The streaming grouping pass: merges per-chunk partial frequency
-    /// sets into global `(sizes, reps)`, calling `emit` once per chunk
-    /// with that chunk's rows' **global** class ids (empty use of `emit`
-    /// keeps the pass O(chunk + classes)).
+    /// The grouping pass over the projection onto `dims` at `levels`
+    /// (aligned with `dims`): class sizes plus one representative row per
+    /// class, in first-appearance order. With `ids`, each chunk's rows'
+    /// **global** class ids are handed over as the chunk completes;
+    /// without, the pass stays O(chunk + classes).
     fn stream_partition(
         &self,
+        dims: &[usize],
         levels: &[usize],
-        mut emit: impl FnMut(&[u32]),
+        mut ids: IdSink<'_>,
     ) -> Result<(Vec<u32>, Vec<u32>)> {
-        self.validate(levels)?;
+        if dims.is_empty() {
+            // No columns: every row shares the empty signature.
+            if let Some(emit) = ids {
+                emit(&vec![0; self.rows]);
+            }
+            return Ok(if self.rows == 0 {
+                (Vec::new(), Vec::new())
+            } else {
+                (vec![self.rows as u32], vec![0])
+            });
+        }
+        let shifts = self.shifts(dims, levels);
         let threads = self.threads().min(self.chunk_count());
-        if threads > 1 && !self.dims.is_empty() {
-            return self.stream_partition_parallel(levels, threads, emit);
+        if threads > 1 {
+            return self.stream_partition_parallel(dims, levels, shifts.as_deref(), threads, ids);
         }
-        let dict_sizes: Vec<u32> = (0..self.dims())
-            .map(|d| self.distinct_at(d, levels[d]) as u32)
-            .collect();
-        let mut sizes: Vec<u32> = Vec::new();
-        let mut reps: Vec<u32> = Vec::new();
-        match packing_shifts(&dict_sizes) {
-            Some(shifts) => {
-                let mut global: FxMap<u64, u32> = FxMap::default();
-                global.reserve(1024.min(self.rows));
-                // Chunk-local partial frequency set, reused across chunks.
-                let mut local: FxMap<u64, u32> = FxMap::default();
-                let mut local_keys: Vec<u64> = Vec::new();
-                let mut local_sizes: Vec<u32> = Vec::new();
-                let mut local_reps: Vec<u32> = Vec::new();
-                let mut local_ids: Vec<u32> = Vec::with_capacity(self.chunk_rows);
-                let mut local_to_global: Vec<u32> = Vec::new();
-                self.stream_node(levels, |row_base, len, bufs| {
-                    local.clear();
-                    local_keys.clear();
-                    local_sizes.clear();
-                    local_reps.clear();
-                    local_ids.clear();
-                    for r in 0..len {
-                        let mut key = 0u64;
-                        for (buf, &shift) in bufs.iter().zip(&shifts) {
-                            key |= u64::from(buf[r]) << shift;
+        let mut classes = Classes::default();
+        classes.packed.reserve(1024.min(self.rows));
+        let mut keys: Vec<u64> = Vec::new();
+        let mut flat: Vec<u32> = Vec::new();
+        let mut chunk_ids: Vec<u32> = Vec::new();
+        self.stream_levels(dims, levels, |row_base, codes| {
+            chunk_ids.clear();
+            let keep_ids = ids.is_some();
+            match &shifts {
+                Some(shifts) => {
+                    pack_keys(codes, shifts, &mut keys);
+                    for (r, &key) in keys.iter().enumerate() {
+                        let class = classes.offer_packed(key, (row_base + r) as u32, 1);
+                        if keep_ids {
+                            chunk_ids.push(class);
                         }
-                        let next = local_sizes.len() as u32;
-                        let lc = *local.entry(key).or_insert(next);
-                        if lc == next {
-                            local_keys.push(key);
-                            local_sizes.push(0);
-                            local_reps.push((row_base + r) as u32);
+                    }
+                }
+                None => {
+                    flat_keys(codes, &mut flat);
+                    for (r, key) in flat.chunks_exact(codes.len()).enumerate() {
+                        let class = classes.offer_wide(key, (row_base + r) as u32, 1);
+                        if keep_ids {
+                            chunk_ids.push(class);
                         }
-                        local_sizes[lc as usize] += 1;
-                        local_ids.push(lc);
                     }
-                    // Merge in local first-appearance order: chunks arrive
-                    // in row order, so global numbering stays
-                    // first-appearance over the whole table.
-                    local_to_global.clear();
-                    for lc in 0..local_sizes.len() {
-                        let next = sizes.len() as u32;
-                        let g = *global.entry(local_keys[lc]).or_insert(next);
-                        if g == next {
-                            sizes.push(0);
-                            reps.push(local_reps[lc]);
-                        }
-                        sizes[g as usize] += local_sizes[lc];
-                        local_to_global.push(g);
-                    }
-                    for id in local_ids.iter_mut() {
-                        *id = local_to_global[*id as usize];
-                    }
-                    emit(&local_ids);
-                    Ok(())
-                })?;
+                }
             }
-            None => {
-                // Wide fallback: keys are the code tuples themselves. The
-                // chunk-local map borrows a flat per-chunk buffer; only
-                // first-appearance keys are copied out for the global map.
-                let cols = self.dims();
-                let mut global: FxMap<Vec<u32>, u32> = FxMap::default();
-                let mut local_ids: Vec<u32> = Vec::with_capacity(self.chunk_rows);
-                self.stream_node(levels, |row_base, len, bufs| {
-                    let mut flat: Vec<u32> = Vec::with_capacity(len * cols);
-                    for r in 0..len {
-                        for buf in bufs {
-                            flat.push(buf[r]);
-                        }
-                    }
-                    let mut local: FxMap<&[u32], u32> = FxMap::default();
-                    let mut local_keys: Vec<&[u32]> = Vec::new();
-                    let mut local_sizes: Vec<u32> = Vec::new();
-                    let mut local_reps: Vec<u32> = Vec::new();
-                    local_ids.clear();
-                    for (r, key) in flat.chunks_exact(cols).enumerate() {
-                        let next = local_sizes.len() as u32;
-                        let lc = *local.entry(key).or_insert(next);
-                        if lc == next {
-                            local_keys.push(key);
-                            local_sizes.push(0);
-                            local_reps.push((row_base + r) as u32);
-                        }
-                        local_sizes[lc as usize] += 1;
-                        local_ids.push(lc);
-                    }
-                    let mut local_to_global: Vec<u32> = Vec::with_capacity(local_sizes.len());
-                    for lc in 0..local_sizes.len() {
-                        let next = sizes.len() as u32;
-                        let g = match global.get(local_keys[lc]) {
-                            Some(&g) => g,
-                            None => {
-                                global.insert(local_keys[lc].to_vec(), next);
-                                sizes.push(0);
-                                reps.push(local_reps[lc]);
-                                next
-                            }
-                        };
-                        sizes[g as usize] += local_sizes[lc];
-                        local_to_global.push(g);
-                    }
-                    for id in local_ids.iter_mut() {
-                        *id = local_to_global[*id as usize];
-                    }
-                    emit(&local_ids);
-                    Ok(())
-                })?;
+            if let Some(emit) = ids.as_mut() {
+                emit(&chunk_ids);
             }
-        }
-        Ok((sizes, reps))
+            Ok(())
+        })?;
+        Ok((classes.sizes, classes.reps))
     }
 
     /// Parallel arm of [`ChunkedCodec::stream_partition`]: workers build
     /// per-chunk **partial frequency sets** (first-appearance keys, sizes,
     /// representatives, and within-chunk local ids) with worker-local
     /// readers and buffers; the caller's thread folds the partials into
-    /// the global map **strictly in chunk-index order**, running the same
-    /// first-appearance merge the sequential pass runs. The k-th new key
-    /// globally is therefore assigned id k regardless of which worker
+    /// the global numbering **strictly in chunk-index order**. The k-th new
+    /// key globally is therefore assigned id k regardless of which worker
     /// hashed it first — class numbering, sizes, and representatives are
-    /// bit-identical to the sequential path at every thread count.
+    /// bit-identical to the sequential pass at every thread count.
     fn stream_partition_parallel(
         &self,
+        dims: &[usize],
         levels: &[usize],
+        shifts: Option<&[u32]>,
         threads: usize,
-        mut emit: impl FnMut(&[u32]),
+        mut ids: IdSink<'_>,
     ) -> Result<(Vec<u32>, Vec<u32>)> {
-        enum PartialKeys {
-            Packed(Vec<u64>),
-            Wide(Vec<Vec<u32>>),
-        }
         struct Partial {
-            keys: PartialKeys,
+            /// Local classes' packed keys, or their code tuples laid out
+            /// row-major (`width` codes per class).
+            packed: Vec<u64>,
+            wide: Vec<u32>,
             sizes: Vec<u32>,
             reps: Vec<u32>,
             ids: Vec<u32>,
@@ -1124,102 +1249,83 @@ impl ChunkedCodec {
             readers: Vec<ChunkReader<'a>>,
             raw: Vec<u32>,
             codes: Vec<Vec<u32>>,
+            keys: Vec<u64>,
+            flat: Vec<u32>,
         }
-
-        let dims = self.dims();
-        let dict_sizes: Vec<u32> = (0..dims)
-            .map(|d| self.distinct_at(d, levels[d]) as u32)
-            .collect();
-        let shifts = packing_shifts(&dict_sizes);
-
+        let width = dims.len();
         let map = |scratch: &mut Scratch<'_>, chunk: usize| -> Result<Partial> {
             let row_base = chunk * self.chunk_rows;
-            let mut len = 0usize;
             let Scratch {
                 readers,
                 raw,
                 codes,
+                keys,
+                flat,
             } = scratch;
-            for (d, (reader, codes)) in readers.iter_mut().zip(codes.iter_mut()).enumerate() {
-                len = reader.read_into(chunk, raw)?;
-                let code_map = &self.dims[d].levels[levels[d]].code_map;
-                codes.clear();
-                codes.resize(len, 0);
-                kernels::gather_u32(codes, raw, code_map);
+            for (((reader, buf), &dim), &level) in readers
+                .iter_mut()
+                .zip(codes.iter_mut())
+                .zip(dims)
+                .zip(levels)
+            {
+                reader.read_into(chunk, raw)?;
+                buf.clear();
+                buf.resize(raw.len(), 0);
+                kernels::gather_u32(buf, raw, self.code_map(dim, level));
             }
-            let mut local_sizes: Vec<u32> = Vec::new();
-            let mut local_reps: Vec<u32> = Vec::new();
-            let mut local_ids: Vec<u32> = Vec::with_capacity(len);
-            let keys = match &shifts {
+            let codes: Vec<&[u32]> = codes.iter().map(Vec::as_slice).collect();
+            let mut local = Classes::default();
+            let mut local_ids: Vec<u32> = Vec::with_capacity(codes[0].len());
+            let (mut packed, mut wide) = (Vec::new(), Vec::new());
+            match shifts {
                 Some(shifts) => {
-                    let mut local: FxMap<u64, u32> = FxMap::default();
-                    let mut local_keys: Vec<u64> = Vec::new();
-                    for r in 0..len {
-                        let mut key = 0u64;
-                        for (buf, &shift) in codes.iter().zip(shifts) {
-                            key |= u64::from(buf[r]) << shift;
-                        }
-                        let next = local_sizes.len() as u32;
-                        let lc = *local.entry(key).or_insert(next);
-                        if lc == next {
-                            local_keys.push(key);
-                            local_sizes.push(0);
-                            local_reps.push((row_base + r) as u32);
-                        }
-                        local_sizes[lc as usize] += 1;
-                        local_ids.push(lc);
+                    pack_keys(&codes, shifts, keys);
+                    for (r, &key) in keys.iter().enumerate() {
+                        local_ids.push(local.offer_packed(key, (row_base + r) as u32, 1));
                     }
-                    PartialKeys::Packed(local_keys)
+                    packed = local
+                        .reps
+                        .iter()
+                        .map(|&rep| keys[rep as usize - row_base])
+                        .collect();
                 }
                 None => {
-                    let mut local: FxMap<Vec<u32>, u32> = FxMap::default();
-                    let mut local_keys: Vec<Vec<u32>> = Vec::new();
-                    let mut key_buf: Vec<u32> = Vec::with_capacity(dims);
-                    for r in 0..len {
-                        key_buf.clear();
-                        for buf in codes.iter() {
-                            key_buf.push(buf[r]);
-                        }
-                        let next = local_sizes.len() as u32;
-                        let lc = match local.get(key_buf.as_slice()) {
-                            Some(&lc) => lc,
-                            None => {
-                                local.insert(key_buf.clone(), next);
-                                local_keys.push(key_buf.clone());
-                                local_sizes.push(0);
-                                local_reps.push((row_base + r) as u32);
-                                next
-                            }
-                        };
-                        local_sizes[lc as usize] += 1;
-                        local_ids.push(lc);
+                    flat_keys(&codes, flat);
+                    for (r, key) in flat.chunks_exact(width).enumerate() {
+                        local_ids.push(local.offer_wide(key, (row_base + r) as u32, 1));
                     }
-                    PartialKeys::Wide(local_keys)
+                    for &rep in &local.reps {
+                        let r = rep as usize - row_base;
+                        wide.extend_from_slice(&flat[r * width..(r + 1) * width]);
+                    }
                 }
-            };
+            }
             Ok(Partial {
-                keys,
-                sizes: local_sizes,
-                reps: local_reps,
+                packed,
+                wide,
+                sizes: local.sizes,
+                reps: local.reps,
                 ids: local_ids,
             })
         };
 
-        let mut sizes: Vec<u32> = Vec::new();
-        let mut reps: Vec<u32> = Vec::new();
-        let mut global_packed: FxMap<u64, u32> = FxMap::default();
+        let mut classes = Classes::default();
         if shifts.is_some() {
-            global_packed.reserve(1024.min(self.rows));
+            classes.packed.reserve(1024.min(self.rows));
         }
-        let mut global_wide: FxMap<Vec<u32>, u32> = FxMap::default();
         let mut local_to_global: Vec<u32> = Vec::new();
         process_chunks_ordered(
             self.chunk_count(),
             threads,
             || Scratch {
-                readers: self.dims.iter().map(|d| d.raw.chunk_reader()).collect(),
+                readers: dims
+                    .iter()
+                    .map(|&d| self.dims[d].raw.chunk_reader())
+                    .collect(),
                 raw: Vec::with_capacity(self.chunk_rows),
-                codes: vec![Vec::new(); dims],
+                codes: vec![Vec::new(); width],
+                keys: Vec::new(),
+                flat: Vec::new(),
             },
             map,
             |_, mut partial: Partial| {
@@ -1227,81 +1333,98 @@ impl ChunkedCodec {
                 // in chunk order, so global numbering stays
                 // first-appearance over the whole table.
                 local_to_global.clear();
-                match partial.keys {
-                    PartialKeys::Packed(keys) => {
-                        for (lc, key) in keys.into_iter().enumerate() {
-                            let next = sizes.len() as u32;
-                            let g = *global_packed.entry(key).or_insert(next);
-                            if g == next {
-                                sizes.push(0);
-                                reps.push(partial.reps[lc]);
-                            }
-                            sizes[g as usize] += partial.sizes[lc];
-                            local_to_global.push(g);
-                        }
-                    }
-                    PartialKeys::Wide(keys) => {
-                        for (lc, key) in keys.into_iter().enumerate() {
-                            let next = sizes.len() as u32;
-                            let g = match global_wide.get(key.as_slice()) {
-                                Some(&g) => g,
-                                None => {
-                                    global_wide.insert(key, next);
-                                    sizes.push(0);
-                                    reps.push(partial.reps[lc]);
-                                    next
-                                }
-                            };
-                            sizes[g as usize] += partial.sizes[lc];
-                            local_to_global.push(g);
-                        }
-                    }
+                for (lc, (&size, &rep)) in partial.sizes.iter().zip(&partial.reps).enumerate() {
+                    local_to_global.push(if shifts.is_some() {
+                        classes.offer_packed(partial.packed[lc], rep, size)
+                    } else {
+                        classes.offer_wide(&partial.wide[lc * width..(lc + 1) * width], rep, size)
+                    });
                 }
-                for id in partial.ids.iter_mut() {
-                    *id = local_to_global[*id as usize];
+                if let Some(emit) = ids.as_mut() {
+                    for id in partial.ids.iter_mut() {
+                        *id = local_to_global[*id as usize];
+                    }
+                    emit(&partial.ids);
                 }
-                emit(&partial.ids);
                 Ok(())
             },
         )?;
-        Ok((sizes, reps))
+        Ok((classes.sizes, classes.reps))
     }
 
     /// Groups the node `levels` by streaming the chunked columns — class
     /// sizes plus one representative row per class, in first-appearance
-    /// order, bit-identical to
-    /// [`GenCodec::partition`](crate::codec::GenCodec::partition). Peak
-    /// memory is O(chunk + classes); per-row class ids are never held.
+    /// order, the same numbering [`EquivalenceClasses::group_by_hash`]
+    /// gives the decoded table. This is the evaluation kernel of the
+    /// lattice searches. Peak memory is O(chunk + classes); per-row class
+    /// ids are never held.
+    ///
+    /// [`EquivalenceClasses::group_by_hash`]: crate::anonymized::EquivalenceClasses::group_by_hash
     ///
     /// # Errors
     /// As [`ChunkedCodec::validate`]; propagates spill-file I/O errors.
     pub fn partition(&self, levels: &[usize]) -> Result<NodePartition> {
-        let (sizes, reps) = self.stream_partition(levels, |_| {})?;
+        self.validate(levels)?;
+        let dims: Vec<usize> = (0..self.dims()).collect();
+        let (sizes, reps) = self.stream_partition(&dims, levels, None)?;
         Ok(NodePartition::from_parts(levels.to_vec(), sizes, reps))
     }
 
-    /// The class id of every row under `levels` (first-appearance
-    /// numbering, identical to [`EncodedView::class_ids`]). This is the
-    /// one chunked entry point that materializes O(rows) state — property
+    /// Groups the **projection** onto the listed dimensions, generalized
+    /// to `levels` (aligned with `dims`) — the evaluation kernel of the
+    /// subset phases of Incognito. The returned partition's
+    /// [`levels`](NodePartition::levels) are the projected ones, so it
+    /// answers class-size queries such as
+    /// [`tuples_below`](NodePartition::tuples_below) but is not a node
+    /// [`ChunkedCodec::coarsen`] or [`NodePartition::class_ids`] accept.
+    ///
+    /// # Errors
+    /// [`Error::ArityMismatch`] if `dims` and `levels` differ in length;
+    /// [`Error::LevelOutOfRange`] for an out-of-range pair; propagates
+    /// spill-file I/O errors.
+    pub fn partition_subset(&self, dims: &[usize], levels: &[usize]) -> Result<NodePartition> {
+        if dims.len() != levels.len() {
+            return Err(Error::ArityMismatch {
+                expected: dims.len(),
+                actual: levels.len(),
+            });
+        }
+        self.validate_levels(dims.iter().copied(), levels)?;
+        let (sizes, reps) = self.stream_partition(dims, levels, None)?;
+        Ok(NodePartition::from_parts(levels.to_vec(), sizes, reps))
+    }
+
+    /// The class id of every row under `levels`, in the first-appearance
+    /// numbering [`ChunkedCodec::partition`] assigns. This is the one
+    /// chunked entry point that materializes O(rows) state — property
     /// extractors that need per-row ids opt into it explicitly.
     ///
     /// # Errors
     /// As [`ChunkedCodec::validate`]; propagates spill-file I/O errors.
     pub fn class_ids(&self, levels: &[usize]) -> Result<Vec<u32>> {
+        self.validate(levels)?;
+        let dims: Vec<usize> = (0..self.dims()).collect();
         let mut ids: Vec<u32> = Vec::with_capacity(self.rows);
-        self.stream_partition(levels, |chunk_ids| ids.extend_from_slice(chunk_ids))?;
+        self.stream_partition(
+            &dims,
+            levels,
+            Some(&mut |chunk_ids: &[u32]| ids.extend_from_slice(chunk_ids)),
+        )?;
         Ok(ids)
     }
 
-    /// Derives a coarser node's partition from `parent` by re-keying one
-    /// representative per parent class — O(#classes · dims) random reads
-    /// instead of a full streaming pass, exactly mirroring
-    /// [`GenCodec::coarsen`](crate::codec::GenCodec::coarsen) (same
-    /// validation, same first-appearance merge, bit-identical result).
+    /// Derives the partition of a coarser node from `parent` by re-keying
+    /// one representative per parent class — O(#classes · dims) reads
+    /// instead of a full streaming pass, exploiting that generalization
+    /// along nested hierarchies only merges classes (see the module docs).
+    /// The result is bit-identical to [`ChunkedCodec::partition`] of
+    /// `levels`.
     ///
     /// # Errors
-    /// As [`GenCodec::coarsen`](crate::codec::GenCodec::coarsen); also
-    /// propagates spill-file I/O errors.
+    /// [`Error::InvalidHierarchy`] when `levels` is not component-wise ≥
+    /// the parent's, or when a dimension whose level changes violates the
+    /// class-merge invariant (non-nested ladder); also as
+    /// [`ChunkedCodec::validate`]; propagates spill-file I/O errors.
     pub fn coarsen(&self, parent: &NodePartition, levels: &[usize]) -> Result<NodePartition> {
         self.validate(levels)?;
         for (dim, (&pl, &cl)) in parent.levels().iter().zip(levels).enumerate() {
@@ -1317,80 +1440,142 @@ impl ChunkedCodec {
                 )));
             }
         }
-        let dict_sizes: Vec<u32> = (0..self.dims())
-            .map(|d| self.distinct_at(d, levels[d]) as u32)
-            .collect();
-        let packed = packing_shifts(&dict_sizes);
+        let width = self.dims();
+        let dims: Vec<usize> = (0..width).collect();
+        let shifts = self.shifts(&dims, levels);
 
-        // Re-keying representatives is embarrassingly parallel: workers
-        // compute key batches (their own random-access readers), the
-        // caller's thread merges batches strictly in class order — the
-        // same first-appearance sequence as the sequential loop.
-        let class_count = parent.representatives().len();
-        let batch_count = class_count.div_ceil(COARSEN_BATCH);
+        // Parent classes are merged strictly in class order — the same
+        // first-appearance sequence from-scratch grouping produces.
+        let reps = parent.representatives();
+        let mut classes = Classes::default();
+        let batch_count = reps.len().div_ceil(COARSEN_BATCH);
         let threads = self.threads().min(batch_count);
-
-        let mut sizes: Vec<u32> = Vec::new();
-        let mut reps: Vec<u32> = Vec::new();
-        let mut index: FxMap<u64, u32> = FxMap::default();
-        let mut wide: FxMap<Vec<u32>, u32> = FxMap::default();
+        let resident: Option<Vec<&[u32]>> = levels
+            .iter()
+            .enumerate()
+            .map(|(dim, &level)| self.resident_level(dim, level))
+            .collect();
+        if let (Some(columns), Some(shifts), true) = (&resident, &shifts, threads <= 1) {
+            // Resident codec: re-key straight from the cached level columns.
+            for (&rep, &size) in reps.iter().zip(parent.sizes()) {
+                let key = columns
+                    .iter()
+                    .zip(shifts)
+                    .fold(0u64, |key, (column, &shift)| {
+                        key | (u64::from(column[rep as usize]) << shift)
+                    });
+                classes.offer_packed(key, rep, size);
+            }
+            return Ok(NodePartition::from_parts(
+                levels.to_vec(),
+                classes.sizes,
+                classes.reps,
+            ));
+        }
+        // Otherwise workers look up key batches through their own
+        // random-access readers and the caller's thread merges the batches
+        // in order.
         process_chunks_ordered(
             batch_count,
             threads,
-            || {
-                let readers: Vec<ColumnReader<'_>> =
-                    self.dims.iter().map(|d| d.raw.reader()).collect();
-                (readers, Vec::<u32>::with_capacity(self.dims()))
+            || -> (Vec<ColumnReader<'_>>, Vec<u32>) {
+                let readers = self.dims.iter().map(|d| d.raw.reader()).collect();
+                (readers, Vec::with_capacity(width))
             },
-            |(readers, key_buf), batch| {
+            |(readers, key), batch| {
                 let lo = batch * COARSEN_BATCH;
-                let hi = (lo + COARSEN_BATCH).min(class_count);
-                let mut packed_keys: Vec<u64> = Vec::new();
-                let mut wide_keys: Vec<Vec<u32>> = Vec::new();
-                for &rep in &parent.representatives()[lo..hi] {
-                    key_buf.clear();
-                    for (d, reader) in readers.iter_mut().enumerate() {
+                let (mut packed, mut wide) = (Vec::new(), Vec::new());
+                for &rep in &reps[lo..(lo + COARSEN_BATCH).min(reps.len())] {
+                    key.clear();
+                    for (dim, reader) in readers.iter_mut().enumerate() {
                         let raw = reader.get(rep as usize)?;
-                        key_buf.push(self.dims[d].levels[levels[d]].code_map[raw as usize]);
+                        key.push(self.code_map(dim, levels[dim])[raw as usize]);
                     }
-                    match &packed {
-                        Some(shifts) => packed_keys.push(
-                            key_buf
-                                .iter()
-                                .zip(shifts)
-                                .fold(0u64, |key, (&code, &shift)| {
-                                    key | (u64::from(code) << shift)
-                                }),
+                    match &shifts {
+                        Some(shifts) => packed.push(
+                            key.iter().zip(shifts).fold(0u64, |acc, (&code, &shift)| {
+                                acc | (u64::from(code) << shift)
+                            }),
                         ),
-                        None => wide_keys.push(key_buf.clone()),
+                        None => wide.extend_from_slice(key),
                     }
                 }
-                Ok((packed_keys, wide_keys))
+                Ok((packed, wide))
             },
-            |batch, (packed_keys, wide_keys)| {
+            |batch, (packed, wide): (Vec<u64>, Vec<u32>)| {
                 let lo = batch * COARSEN_BATCH;
-                for offset in 0..packed_keys.len().max(wide_keys.len()) {
-                    let class = lo + offset;
-                    let merged = match &packed {
-                        Some(_) => {
-                            let next = sizes.len() as u32;
-                            *index.entry(packed_keys[offset]).or_insert(next)
-                        }
-                        None => {
-                            let next = sizes.len() as u32;
-                            *wide.entry(wide_keys[offset].clone()).or_insert(next)
-                        }
+                let hi = (lo + COARSEN_BATCH).min(reps.len());
+                for (offset, class) in (lo..hi).enumerate() {
+                    let (rep, size) = (reps[class], parent.sizes()[class]);
+                    match &shifts {
+                        Some(_) => classes.offer_packed(packed[offset], rep, size),
+                        None => classes.offer_wide(
+                            &wide[offset * width..(offset + 1) * width],
+                            rep,
+                            size,
+                        ),
                     };
-                    if merged as usize == sizes.len() {
-                        sizes.push(0);
-                        reps.push(parent.representatives()[class]);
-                    }
-                    sizes[merged as usize] += parent.sizes()[class];
                 }
                 Ok(())
             },
         )?;
-        Ok(NodePartition::from_parts(levels.to_vec(), sizes, reps))
+        Ok(NodePartition::from_parts(
+            levels.to_vec(),
+            classes.sizes,
+            classes.reps,
+        ))
+    }
+
+    /// Decodes the node `levels` into a full [`AnonymizedTable`] over
+    /// `dataset`, which must be the dataset this codec encodes — the
+    /// result is byte-identical to
+    /// [`Lattice::apply`](crate::lattice::Lattice::apply) with the same
+    /// levels. Searches call this only for the nodes they actually
+    /// release.
+    ///
+    /// # Errors
+    /// As [`ChunkedCodec::validate`]; [`Error::InvalidDataset`] when
+    /// `dataset`'s shape differs from the codec's; propagates spill-file
+    /// I/O and table-construction errors.
+    pub fn decode(
+        &self,
+        dataset: &Arc<Dataset>,
+        levels: &[usize],
+        name: impl Into<String>,
+    ) -> Result<AnonymizedTable> {
+        self.validate(levels)?;
+        if dataset.len() != self.rows || dataset.schema().len() != self.schema.len() {
+            return Err(Error::InvalidDataset(format!(
+                "the codec encodes {} rows of {} columns, the dataset has {} rows of {}",
+                self.rows,
+                self.schema.len(),
+                dataset.len(),
+                dataset.schema().len()
+            )));
+        }
+        // col → (dictionary, per-row codes) for quasi-identifier columns;
+        // every other column decodes to its raw value.
+        let mut qi_source: Vec<Option<(&[GenValue], Vec<u32>)>> =
+            (0..self.schema.len()).map(|_| None).collect();
+        for (dim, &level) in levels.iter().enumerate() {
+            qi_source[self.column_of(dim)] =
+                Some((self.dict(dim, level), self.level_column(dim, level)?));
+        }
+        let records: Vec<Vec<GenValue>> = dataset
+            .rows()
+            .iter()
+            .enumerate()
+            .map(|(t, row)| {
+                row.iter()
+                    .zip(&qi_source)
+                    .map(|(value, source)| match source {
+                        Some((dict, codes)) => dict[codes[t] as usize],
+                        None => GenValue::raw(*value),
+                    })
+                    .collect()
+            })
+            .collect();
+        AnonymizedTable::new(dataset.clone(), records, name)
     }
 
     /// Streams dimension `dim`'s generalized codes at `level`
@@ -1405,14 +1590,22 @@ impl ChunkedCodec {
         level: usize,
         mut f: impl FnMut(usize, &[u32]) -> Result<()>,
     ) -> Result<()> {
-        let code_map = &self.dims[dim].levels[level].code_map;
-        let mut buf: Vec<u32> = Vec::new();
-        self.stream_blocks(&[&self.dims[dim].raw], |_, row_base, len, raws| {
-            buf.clear();
-            buf.resize(len, 0);
-            kernels::gather_u32(&mut buf, &raws[0], code_map);
-            f(row_base, &buf)
-        })
+        self.stream_levels(&[dim], &[level], |row_base, codes| f(row_base, codes[0]))
+    }
+
+    /// Dimension `dim`'s generalized codes at `level` for every row, as
+    /// one vector indexing [`ChunkedCodec::dict`]`(dim, level)` — O(rows);
+    /// [`ChunkedCodec::decode`] is built on it.
+    ///
+    /// # Errors
+    /// Propagates spill-file I/O errors.
+    pub fn level_column(&self, dim: usize, level: usize) -> Result<Vec<u32>> {
+        let mut codes: Vec<u32> = Vec::with_capacity(self.rows);
+        self.for_each_level_chunk(dim, level, |_, chunk| {
+            codes.extend_from_slice(chunk);
+            Ok(())
+        })?;
+        Ok(codes)
     }
 
     /// Streams schema column `col`'s **raw** codes (indices into
@@ -1427,8 +1620,8 @@ impl ChunkedCodec {
         col: usize,
         mut f: impl FnMut(usize, &[u32]) -> Result<()>,
     ) -> Result<()> {
-        self.stream_blocks(&[self.raw_column(col)], |_, row_base, _, raws| {
-            f(row_base, &raws[0])
+        self.stream_blocks(&[self.raw_column(col)], |_, row_base, raws| {
+            f(row_base, raws[0])
         })
     }
 
@@ -1466,8 +1659,8 @@ impl ChunkedCodec {
         let threads = self.threads().min(self.chunk_count());
         if threads <= 1 {
             let mut scratch = make_scratch();
-            return self.stream_blocks(&[column], |chunk, row_base, _, raws| {
-                let partial = map(&mut scratch, row_base, &raws[0])?;
+            return self.stream_blocks(&[column], |chunk, row_base, raws| {
+                let partial = map(&mut scratch, row_base, raws[0])?;
                 reduce(chunk, partial)
             });
         }
@@ -1572,6 +1765,77 @@ impl ChunkedCodec {
     }
 }
 
+/// First-appearance class numbering: the k-th distinct key offered
+/// becomes class k, represented by the row that offered it. Every
+/// grouping pass — the sequential scan, the parallel merge and
+/// coarsening — numbers classes through this one type.
+#[derive(Default)]
+struct Classes {
+    packed: FxMap<u64, u32>,
+    wide: FxMap<Vec<u32>, u32>,
+    sizes: Vec<u32>,
+    reps: Vec<u32>,
+}
+
+impl Classes {
+    /// Counts `count` rows under the packed `key` (represented by `rep`
+    /// if the key is new) and returns its class id.
+    fn offer_packed(&mut self, key: u64, rep: u32, count: u32) -> u32 {
+        let next = self.sizes.len() as u32;
+        let class = *self.packed.entry(key).or_insert(next);
+        self.tally(class, rep, count)
+    }
+
+    /// [`Classes::offer_packed`] for a code-tuple key; the tuple is copied
+    /// only when it opens a new class.
+    fn offer_wide(&mut self, key: &[u32], rep: u32, count: u32) -> u32 {
+        let class = match self.wide.get(key) {
+            Some(&class) => class,
+            None => {
+                let next = self.sizes.len() as u32;
+                self.wide.insert(key.to_vec(), next);
+                next
+            }
+        };
+        self.tally(class, rep, count)
+    }
+
+    fn tally(&mut self, class: u32, rep: u32, count: u32) -> u32 {
+        if class as usize == self.sizes.len() {
+            self.sizes.push(0);
+            self.reps.push(rep);
+        }
+        self.sizes[class as usize] += count;
+        class
+    }
+}
+
+/// Packs each row's generalized codes into one `u64` key: `keys[r]` ORs
+/// `codes[d][r] << shifts[d]` over every dimension `d`.
+fn pack_keys(codes: &[&[u32]], shifts: &[u32], keys: &mut Vec<u64>) {
+    keys.clear();
+    keys.resize(codes.first().map_or(0, |c| c.len()), 0);
+    for (column, &shift) in codes.iter().zip(shifts) {
+        for (key, &code) in keys.iter_mut().zip(column.iter()) {
+            *key |= u64::from(code) << shift;
+        }
+    }
+}
+
+/// Lays each row's generalized codes out row-major in `flat`
+/// (`codes.len()` codes per row) — the keys of the wide fallback, used
+/// when the code widths exceed 64 bits.
+fn flat_keys(codes: &[&[u32]], flat: &mut Vec<u32>) {
+    let width = codes.len();
+    flat.clear();
+    flat.resize(codes.first().map_or(0, |c| c.len()) * width, 0);
+    for (d, column) in codes.iter().enumerate() {
+        for (r, &code) in column.iter().enumerate() {
+            flat[r * width + d] = code;
+        }
+    }
+}
+
 /// One column's per-code term table for
 /// [`ChunkedCodec::scatter_term_columns`]: which codes to stream and the
 /// per-code f64 contribution of each.
@@ -1599,8 +1863,7 @@ pub enum TermColumn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::GenCodec;
-    use crate::intervals::IntervalLadder;
+    use crate::intervals::{IntervalLadder, IntervalLevel};
     use crate::lattice::Lattice;
     use crate::schema::{Attribute, Role};
     use crate::taxonomy::Taxonomy;
@@ -1651,27 +1914,46 @@ mod tests {
         }
     }
 
+    /// Every chunking the equivalence tests sweep: one resident block,
+    /// plus block sizes that do and do not divide the row count.
+    fn codecs(ds: &Arc<Dataset>, store: &ChunkStore) -> Vec<ChunkedCodec> {
+        let mut out = vec![ChunkedCodec::resident(ds).unwrap()];
+        for chunk_rows in [1, 2, 3, 5, 7] {
+            out.push(ChunkedCodec::from_dataset_in(ds, chunk_rows, store.clone()).unwrap());
+        }
+        out
+    }
+
     #[test]
-    fn partitions_match_monolithic_on_every_node_and_chunk_size() {
+    fn partitions_match_materialized_on_every_node_and_chunk_size() {
         let ds = dataset();
-        let codec = GenCodec::new(&ds).unwrap();
         let lattice = Lattice::new(ds.schema().clone()).unwrap();
         for store in stores("part") {
-            for chunk_rows in [1, 2, 3, 5, 7] {
-                let chunked =
-                    ChunkedCodec::from_dataset_in(&ds, chunk_rows, store.clone()).unwrap();
+            for chunked in codecs(&ds, &store) {
                 for levels in lattice.iter_all() {
-                    let mono = codec.partition(&levels).unwrap();
-                    let chnk = chunked.partition(&levels).unwrap();
-                    assert_eq!(mono.sizes(), chnk.sizes(), "sizes at {levels:?}");
+                    let table = lattice.apply(&ds, &levels, "t").unwrap();
+                    let classes = table.classes();
+                    let part = chunked.partition(&levels).unwrap();
+                    // First-appearance numbering: class c's representative
+                    // is its smallest member.
+                    let sizes: Vec<u32> = (0..classes.class_count())
+                        .map(|c| classes.members(c).len() as u32)
+                        .collect();
+                    let reps: Vec<u32> = (0..classes.class_count())
+                        .map(|c| classes.members(c)[0])
+                        .collect();
+                    assert_eq!(part.sizes(), &sizes[..], "sizes at {levels:?}");
+                    assert_eq!(part.representatives(), &reps[..], "reps at {levels:?}");
+                    let ids: Vec<u32> = (0..ds.len()).map(|t| classes.class_of(t) as u32).collect();
                     assert_eq!(
-                        mono.representatives(),
-                        chnk.representatives(),
-                        "reps at {levels:?}"
+                        chunked.class_ids(&levels).unwrap(),
+                        ids,
+                        "ids at {levels:?}"
                     );
-                    let mono_ids = mono.class_ids(&codec).unwrap();
-                    let chnk_ids = chunked.class_ids(&levels).unwrap();
-                    assert_eq!(mono_ids, &chnk_ids[..], "ids at {levels:?}");
+                    assert_eq!(part.class_ids(&chunked).unwrap(), &ids[..]);
+                    let decoded = chunked.decode(&ds, &levels, "t").unwrap();
+                    assert_eq!(decoded.records(), table.records(), "records at {levels:?}");
+                    assert!(decoded.classes().same_partition(classes));
                 }
             }
             cleanup(&store);
@@ -1679,21 +1961,157 @@ mod tests {
     }
 
     #[test]
-    fn coarsen_matches_monolithic() {
+    fn coarsen_agrees_with_partition_from_scratch() {
         let ds = dataset();
-        let codec = GenCodec::new(&ds).unwrap();
+        let lattice = Lattice::new(ds.schema().clone()).unwrap();
         for store in stores("coarsen") {
-            let chunked = ChunkedCodec::from_dataset_in(&ds, 2, store.clone()).unwrap();
-            let parent_m = codec.partition(&[0, 0]).unwrap();
-            let parent_c = chunked.partition(&[0, 0]).unwrap();
-            for levels in [[1, 0], [0, 1], [1, 1], [1, 2]] {
-                let mono = codec.coarsen(&parent_m, &levels).unwrap();
-                let chnk = chunked.coarsen(&parent_c, &levels).unwrap();
-                assert_eq!(mono.sizes(), chnk.sizes(), "sizes at {levels:?}");
-                assert_eq!(mono.representatives(), chnk.representatives());
+            for chunked in codecs(&ds, &store) {
+                assert!(chunked.monotone(), "uniform ladders are nested");
+                for levels in lattice.iter_all() {
+                    let parent = chunked.partition(&levels).unwrap();
+                    for succ in lattice.successors(&levels) {
+                        let stepped = chunked.coarsen(&parent, &succ).unwrap();
+                        let fresh = chunked.partition(&succ).unwrap();
+                        assert_eq!(stepped.sizes(), fresh.sizes(), "{levels:?} → {succ:?}");
+                        assert_eq!(stepped.representatives(), fresh.representatives());
+                        assert_eq!(
+                            stepped.class_ids(&chunked).unwrap(),
+                            fresh.class_ids(&chunked).unwrap()
+                        );
+                    }
+                }
             }
             cleanup(&store);
         }
+    }
+
+    #[test]
+    fn coarsen_rejects_finer_levels() {
+        let codec = ChunkedCodec::resident(&dataset()).unwrap();
+        let parent = codec.partition(&[1, 1]).unwrap();
+        assert!(matches!(
+            codec.coarsen(&parent, &[0, 1]),
+            Err(Error::InvalidHierarchy(_))
+        ));
+    }
+
+    #[test]
+    fn non_nested_ladder_detected_and_coarsen_refused() {
+        // Level 1 (origin 0, width 10) puts 5 and 6 in (0,10] together;
+        // level 2 (origin 5, width 20) separates them into (-15,5] and
+        // (5,25] — a level-1 class *splits* when stepping up, violating
+        // the class-merge invariant.
+        let ladder = IntervalLadder::new_unchecked(vec![
+            IntervalLevel {
+                origin: 0,
+                width: 10,
+            },
+            IntervalLevel {
+                origin: 5,
+                width: 20,
+            },
+        ])
+        .unwrap();
+        let schema = Schema::new(vec![Attribute::integer(
+            "age",
+            Role::QuasiIdentifier,
+            0,
+            100,
+        )
+        .with_hierarchy(ladder.into())
+        .unwrap()])
+        .unwrap();
+        let ds = Dataset::new(schema, vec![vec![Value::Int(5)], vec![Value::Int(6)]]).unwrap();
+        let codec = ChunkedCodec::resident(&ds).unwrap();
+        assert!(
+            !codec.is_monotone(0),
+            "origin-shifted ladder splits classes"
+        );
+        let parent = codec.partition(&[1]).unwrap();
+        assert_eq!(parent.class_count(), 1, "5 and 6 share (0,10]");
+        assert!(codec.coarsen(&parent, &[2]).is_err());
+        // From-scratch partition is still correct: they split at level 2.
+        assert_eq!(codec.partition(&[2]).unwrap().class_count(), 2);
+    }
+
+    #[test]
+    fn partition_subset_projects() {
+        let ds = dataset();
+        for chunked in codecs(&ds, &ChunkStore::Memory) {
+            // Project onto the city column only, raw: 3 distinct cities.
+            let part = chunked.partition_subset(&[0], &[0]).unwrap();
+            assert_eq!(part.sizes(), &[3, 1, 1]);
+            assert_eq!(part.representatives(), &[0, 1, 3]);
+            // Fully generalized projection: one class.
+            let part = chunked.partition_subset(&[0], &[1]).unwrap();
+            assert_eq!(part.sizes(), &[ds.len() as u32]);
+            // The full projection is the node itself.
+            let full = chunked.partition_subset(&[0, 1], &[0, 1]).unwrap();
+            assert_eq!(full.sizes(), chunked.partition(&[0, 1]).unwrap().sizes());
+            // Arity and range validation.
+            assert!(matches!(
+                chunked.partition_subset(&[0], &[0, 1]),
+                Err(Error::ArityMismatch { .. })
+            ));
+            assert!(matches!(
+                chunked.partition_subset(&[0], &[9]),
+                Err(Error::LevelOutOfRange { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn distinct_at_counts_present_generalizations() {
+        let codec = ChunkedCodec::resident(&dataset()).unwrap();
+        // Ages 15, 25, 18, 33, 15 → 4 distinct raw, 3 level-1 buckets
+        // ((10,20], (20,30], (30,40]), 2 level-2 buckets ((0,20], (20,40]).
+        assert_eq!(codec.distinct_at(1, 0), 4);
+        assert_eq!(codec.distinct_at(1, 1), 3);
+        assert_eq!(codec.distinct_at(1, 2), 2);
+        assert_eq!(codec.distinct_at(1, 3), 1, "suppression: one value");
+    }
+
+    #[test]
+    fn validate_errors() {
+        let ds = dataset();
+        let codec = ChunkedCodec::resident(&ds).unwrap();
+        assert!(matches!(
+            codec.partition(&[0]),
+            Err(Error::ArityMismatch { .. })
+        ));
+        assert!(matches!(
+            codec.partition(&[0, 9]),
+            Err(Error::LevelOutOfRange { .. })
+        ));
+        assert!(matches!(
+            codec.decode(&ds, &[0], "t"),
+            Err(Error::ArityMismatch { .. })
+        ));
+        // Decoding over a dataset of another shape is refused.
+        let shorter = Dataset::new(schema(), ds.rows()[..2].to_vec()).unwrap();
+        assert!(matches!(
+            codec.decode(&shorter, &[0, 0], "t"),
+            Err(Error::InvalidDataset(_))
+        ));
+    }
+
+    #[test]
+    fn missing_hierarchy_rejected() {
+        let s = Schema::new(vec![Attribute::integer("age", Role::QuasiIdentifier, 0, 9)]).unwrap();
+        let ds = Dataset::new(s.clone(), vec![vec![Value::Int(1)]]).unwrap();
+        assert!(matches!(
+            ChunkedCodec::resident(&ds),
+            Err(Error::MissingHierarchy(_))
+        ));
+        assert!(matches!(
+            ChunkedCodec::from_rows(
+                s,
+                || std::iter::once(vec![Value::Int(1)]),
+                1,
+                ChunkStore::Memory
+            ),
+            Err(Error::MissingHierarchy(_))
+        ));
     }
 
     #[test]
@@ -1788,10 +2206,14 @@ mod tests {
     fn oversized_chunks_degenerate_to_one_block() {
         let ds = dataset();
         let chunked = ChunkedCodec::from_dataset(&ds, 1_000_000).unwrap();
-        let codec = GenCodec::new(&ds).unwrap();
+        assert_eq!(chunked.chunk_count(), 1);
+        let resident = ChunkedCodec::resident(&ds).unwrap();
+        assert_eq!(resident.chunk_count(), 1);
+        assert_eq!(resident.chunk_rows(), ds.len());
         let a = chunked.partition(&[1, 1]).unwrap();
-        let b = codec.partition(&[1, 1]).unwrap();
+        let b = resident.partition(&[1, 1]).unwrap();
         assert_eq!(a.sizes(), b.sizes());
+        assert_eq!(a.sizes(), &[3, 1, 1]);
     }
 
     #[test]

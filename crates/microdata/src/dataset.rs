@@ -70,8 +70,8 @@ impl DistinctValues {
 
     /// The dense code of `value`: its index among the sorted distinct
     /// values, if present in the column. This is the raw-code assignment
-    /// the [`GenCodec`](crate::codec::GenCodec) dictionary encoding is
-    /// built on.
+    /// the [`ChunkedCodec`](crate::chunked::ChunkedCodec) dictionary
+    /// encoding is built on.
     pub fn code_of(&self, value: &Value) -> Option<u32> {
         match (self, value) {
             (DistinctValues::Integers(v), Value::Int(x)) => {

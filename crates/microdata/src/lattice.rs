@@ -10,7 +10,8 @@
 use std::sync::Arc;
 
 use crate::anonymized::AnonymizedTable;
-use crate::codec::{GenCodec, NodePartition};
+use crate::chunked::ChunkedCodec;
+use crate::codec::NodePartition;
 use crate::dataset::Dataset;
 use crate::error::{Error, Result};
 use crate::schema::Schema;
@@ -270,27 +271,24 @@ impl Lattice {
         AnonymizedTable::new(dataset.clone(), records, name)
     }
 
-    /// Like [`Lattice::apply`], but through a prebuilt [`GenCodec`]:
-    /// decodes the node from the codec's interned dictionaries instead of
-    /// re-generalizing every cell. Produces a byte-identical
-    /// [`AnonymizedTable`]. Searches should call this only for the nodes
-    /// they actually release and use [`Lattice::evaluate_node`] everywhere
-    /// else.
+    /// Like [`Lattice::apply`], but through a prebuilt [`ChunkedCodec`]
+    /// of `dataset`: decodes the node from the codec's interned
+    /// dictionaries instead of re-generalizing every cell. Produces a
+    /// byte-identical [`AnonymizedTable`]. Searches should call this only
+    /// for the nodes they actually release and use
+    /// [`Lattice::evaluate_node`] everywhere else.
     ///
     /// # Errors
     /// As [`Lattice::validate`]; propagates codec errors.
     pub fn apply_encoded(
         &self,
-        codec: &GenCodec,
+        codec: &ChunkedCodec,
+        dataset: &Arc<Dataset>,
         levels: &[usize],
         name: impl Into<String>,
     ) -> Result<AnonymizedTable> {
         self.validate(levels)?;
-        debug_assert!(
-            Arc::ptr_eq(codec.dataset().schema(), &self.schema)
-                || codec.dataset().schema().len() == self.schema.len()
-        );
-        codec.decode(levels, name)
+        codec.decode(dataset, levels, name)
     }
 
     /// Evaluates a lattice node without materializing a table: the
@@ -298,23 +296,8 @@ impl Lattice {
     /// coarsening) that frequency-set constraint checks need.
     ///
     /// # Errors
-    /// As [`Lattice::validate`]; propagates codec errors.
-    pub fn evaluate_node(&self, codec: &GenCodec, levels: &[usize]) -> Result<NodePartition> {
-        self.validate(levels)?;
-        codec.partition(levels)
-    }
-
-    /// Like [`Lattice::evaluate_node`], but streaming the out-of-core
-    /// chunked store — bit-identical partitions at O(chunk + classes)
-    /// peak memory.
-    ///
-    /// # Errors
     /// As [`Lattice::validate`]; propagates codec and spill-file errors.
-    pub fn evaluate_node_chunked(
-        &self,
-        codec: &crate::chunked::ChunkedCodec,
-        levels: &[usize],
-    ) -> Result<NodePartition> {
+    pub fn evaluate_node(&self, codec: &ChunkedCodec, levels: &[usize]) -> Result<NodePartition> {
         self.validate(levels)?;
         codec.partition(levels)
     }
@@ -550,18 +533,18 @@ mod tests {
     fn encoded_paths_agree_with_apply() {
         let l = Lattice::new(schema()).unwrap();
         let ds = dataset();
-        let codec = GenCodec::new(&ds).unwrap();
+        let codec = ChunkedCodec::resident(&ds).unwrap();
         for levels in l.iter_all() {
             let direct = l.apply(&ds, &levels, "t").unwrap();
-            let encoded = l.apply_encoded(&codec, &levels, "t").unwrap();
+            let encoded = l.apply_encoded(&codec, &ds, &levels, "t").unwrap();
             assert_eq!(direct.records(), encoded.records());
             let part = l.evaluate_node(&codec, &levels).unwrap();
             assert_eq!(part.class_count(), direct.classes().class_count());
             assert_eq!(part.min_class_size(), direct.classes().min_class_size());
         }
-        // Both new APIs validate like `apply`.
+        // Both encoded APIs validate like `apply`.
         assert!(matches!(
-            l.apply_encoded(&codec, &[0], "t"),
+            l.apply_encoded(&codec, &ds, &[0], "t"),
             Err(Error::ArityMismatch { .. })
         ));
         assert!(matches!(

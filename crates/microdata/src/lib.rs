@@ -68,16 +68,15 @@ pub mod value;
 pub mod prelude {
     pub use crate::anonymized::{AnonymizedTable, EquivalenceClasses};
     pub use crate::chunked::{ChunkStore, ChunkedCodec, ChunkedColumn};
-    pub use crate::codec::{EncodedView, GenCodec, NodePartition};
+    pub use crate::codec::NodePartition;
     pub use crate::dataset::{Dataset, DatasetBuilder, DistinctValues};
     pub use crate::error::{Error, Result};
     pub use crate::hierarchy::Hierarchy;
     pub use crate::intervals::{IntervalLadder, IntervalLevel};
     pub use crate::lattice::{Lattice, LevelVector};
     pub use crate::loss::{
-        discernibility_vector, discernibility_vector_chunked, discernibility_vector_encoded,
-        precision_vector, precision_vector_chunked, precision_vector_encoded, CellLossCache,
-        ColumnSet, CoverageBasis, LossKind, LossMetric,
+        discernibility_vector, discernibility_vector_chunked, precision_vector,
+        precision_vector_chunked, CellLossCache, ColumnSet, CoverageBasis, LossKind, LossMetric,
     };
     pub use crate::numeric::{NumericBase, NumericRelease, Release};
     pub use crate::schema::{Attribute, Domain, Role, Schema};

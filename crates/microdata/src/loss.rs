@@ -26,7 +26,7 @@ use parking_lot::Mutex;
 
 use crate::anonymized::AnonymizedTable;
 use crate::chunked::{ChunkedCodec, TermColumn};
-use crate::codec::{GenCodec, NodePartition};
+use crate::codec::NodePartition;
 use crate::dataset::{Dataset, DistinctValues};
 use crate::error::Result;
 use crate::kernels;
@@ -34,41 +34,13 @@ use crate::parallel;
 use crate::schema::{Domain, Schema};
 use crate::value::GenValue;
 
-/// Per-row contribution of one column to a per-tuple sum, without
-/// materializing cells: the distinct-value terms are computed once per
-/// `(column, level)` and scattered through the codec's `u32` codes. Used
-/// by the encoded loss and precision kernels below.
-///
-/// `terms` must be indexed by the codes in `codes`; adds `terms[code]`
-/// into `acc[row]` for every row. Accumulation order per row matches the
-/// materialized path's column-by-column sum exactly, so results stay
-/// bit-identical. Delegates to the branch-free
-/// [`gather_add_f64`](crate::kernels::gather_add_f64) kernel.
-fn scatter_terms(acc: &mut [f64], codes: &[u32], terms: &[f64]) {
-    kernels::gather_add_f64(acc, codes, terms);
-}
-
 /// Schema column → codec dimension for the columns `codec` encodes.
-fn dims_by_column(codec: &GenCodec) -> Vec<Option<usize>> {
-    let mut dim_of: Vec<Option<usize>> = vec![None; codec.dataset().schema().len()];
+fn dims_by_column(codec: &ChunkedCodec) -> Vec<Option<usize>> {
+    let mut dim_of: Vec<Option<usize>> = vec![None; codec.schema().len()];
     for dim in 0..codec.dims() {
         dim_of[codec.column_of(dim)] = Some(dim);
     }
     dim_of
-}
-
-/// The per-distinct-raw-value codes of a column the codec does *not*
-/// encode (decoding renders such cells as raw values). Returns per-row
-/// codes into the column's sorted distinct values.
-fn raw_codes(ds: &Dataset, col: usize) -> Vec<u32> {
-    let distinct = ds.distinct(col);
-    (0..ds.len())
-        .map(|row| {
-            distinct
-                .code_of(ds.value(row, col))
-                .expect("dataset values appear in their own distinct summary")
-        })
-        .collect()
 }
 
 /// Which universe coverage fractions are normalized against.
@@ -337,78 +309,13 @@ impl LossMetric {
         self.loss_vector(table).iter().sum()
     }
 
-    /// Per-tuple loss vector computed directly from the codec — no table
+    /// Per-tuple loss vector computed from the codec — no table
     /// materialization. Bit-identical to [`LossMetric::loss_vector`] on
     /// the decoded node: per-column cell losses are evaluated once per
     /// distinct generalized value (the codec's dictionary) and scattered
-    /// through the `u32` code columns, accumulating in the same column
-    /// order as the materialized path.
-    ///
-    /// # Errors
-    /// As [`GenCodec::validate`] for an invalid `levels` vector.
-    pub fn loss_vector_encoded(&self, codec: &GenCodec, levels: &[usize]) -> Result<Vec<f64>> {
-        codec.validate(levels)?;
-        let ds = codec.dataset();
-        let cols = self.columns.resolve(ds);
-        let dim_of = dims_by_column(codec);
-        let mut losses = vec![0.0f64; codec.rows()];
-        for &c in &cols {
-            match dim_of[c] {
-                Some(dim) => {
-                    let level = levels[dim];
-                    let terms: Vec<f64> = codec
-                        .dict(dim, level)
-                        .iter()
-                        .map(|gv| self.cell_loss(ds, c, gv))
-                        .collect();
-                    scatter_terms(&mut losses, codec.encoded_column(dim, level), &terms);
-                }
-                None => {
-                    // Un-encoded columns decode to raw cells; their loss
-                    // depends only on the distinct raw value.
-                    let terms: Vec<f64> = ds
-                        .distinct(c)
-                        .values()
-                        .iter()
-                        .map(|v| self.cell_loss(ds, c, &GenValue::raw(*v)))
-                        .collect();
-                    scatter_terms(&mut losses, &raw_codes(ds, c), &terms);
-                }
-            }
-        }
-        Ok(losses)
-    }
-
-    /// Per-tuple utility vector from the codec; see
-    /// [`LossMetric::loss_vector_encoded`].
-    ///
-    /// # Errors
-    /// As [`GenCodec::validate`].
-    pub fn utility_vector_encoded(&self, codec: &GenCodec, levels: &[usize]) -> Result<Vec<f64>> {
-        let a = self.columns.resolve(codec.dataset()).len() as f64;
-        Ok(self
-            .loss_vector_encoded(codec, levels)?
-            .into_iter()
-            .map(|l| a - l)
-            .collect())
-    }
-
-    /// Total (summed) loss of a node from the codec; see
-    /// [`LossMetric::loss_vector_encoded`].
-    ///
-    /// # Errors
-    /// As [`GenCodec::validate`].
-    pub fn total_loss_encoded(&self, codec: &GenCodec, levels: &[usize]) -> Result<f64> {
-        Ok(self.loss_vector_encoded(codec, levels)?.iter().sum())
-    }
-
-    /// Per-tuple loss vector from the chunked store — the out-of-core
-    /// counterpart of [`LossMetric::loss_vector_encoded`], bit-identical
-    /// to it (and therefore to the materialized path): terms are evaluated
-    /// per distinct generalized value and scattered chunk-at-a-time in the
-    /// same column order, so every row sees the same additions in the same
-    /// order. Only the O(rows) output vector and one chunk of codes are
-    /// resident at a time.
+    /// chunk-at-a-time through the `u32` code columns, accumulating in the
+    /// same column order as the materialized path. Only the O(rows) output
+    /// vector and one chunk of codes are resident at a time.
     ///
     /// # Errors
     /// As [`ChunkedCodec::validate`]; propagates spill-file I/O errors.
@@ -416,10 +323,7 @@ impl LossMetric {
         codec.validate(levels)?;
         let schema = codec.schema().clone();
         let cols = self.columns.resolve_schema(&schema);
-        let mut dim_of: Vec<Option<usize>> = vec![None; schema.len()];
-        for dim in 0..codec.dims() {
-            dim_of[codec.column_of(dim)] = Some(dim);
-        }
+        let dim_of = dims_by_column(codec);
         let specs: Vec<TermColumn> = cols
             .iter()
             .map(|&c| match dim_of[c] {
@@ -557,30 +461,13 @@ pub fn precision_vector(table: &AnonymizedTable) -> Vec<f64> {
         .collect()
 }
 
-/// Encoded variant of [`discernibility_vector`]: a tuple in a class of
-/// size `s` is penalized `s`. Decoded codec tables never carry suppressed
-/// tuples (full-domain recoding suppresses by generalizing, not by
-/// masking rows), so the suppression branch of the materialized path
-/// cannot fire and the two are bit-identical.
-///
-/// # Errors
-/// As [`GenCodec::validate`] when the partition does not fit the codec.
-pub fn discernibility_vector_encoded(
-    codec: &GenCodec,
-    partition: &NodePartition,
-) -> Result<Vec<f64>> {
-    let ids = partition.class_ids(codec)?;
-    let penalties: Vec<f64> = partition.sizes().iter().map(|&s| f64::from(s)).collect();
-    let mut out = vec![0.0f64; ids.len()];
-    kernels::gather_f64(&mut out, ids, &penalties);
-    Ok(out)
-}
-
-/// Chunked-store variant of [`discernibility_vector_encoded`] —
-/// bit-identical penalties gathered through the same branch-free kernel.
-/// This is one of the extractors that needs per-row class ids; those are
-/// materialized (and cached on the partition) via
-/// [`NodePartition::class_ids_chunked`].
+/// Codec variant of [`discernibility_vector`]: a tuple in a class of
+/// size `s` is penalized `s`, gathered through the branch-free kernel.
+/// Decoded codec tables never carry suppressed tuples (full-domain
+/// recoding suppresses by generalizing, not by masking rows), so the
+/// suppression branch of the materialized path cannot fire and the two
+/// are bit-identical. Needs per-row class ids, which are materialized
+/// (and cached on the partition) via [`NodePartition::class_ids`].
 ///
 /// # Errors
 /// As [`ChunkedCodec::validate`]; propagates spill-file I/O errors.
@@ -588,7 +475,7 @@ pub fn discernibility_vector_chunked(
     codec: &ChunkedCodec,
     partition: &NodePartition,
 ) -> Result<Vec<f64>> {
-    let ids = partition.class_ids_chunked(codec)?;
+    let ids = partition.class_ids(codec)?;
     let penalties: Vec<f64> = partition.sizes().iter().map(|&s| f64::from(s)).collect();
     let mut out = vec![0.0f64; ids.len()];
     // A pure per-row gather: disjoint spans fill concurrently with no
@@ -599,55 +486,11 @@ pub fn discernibility_vector_chunked(
     Ok(out)
 }
 
-/// Encoded variant of [`precision_vector`]: per-cell `level / max_level`
+/// Codec variant of [`precision_vector`]: per-cell `level / max_level`
 /// ratios are evaluated once per distinct generalized value and scattered
-/// through the codec's code columns, accumulating per row in the same
-/// column order as the materialized path (bit-identical results).
-///
-/// # Errors
-/// As [`GenCodec::validate`] for an invalid `levels` vector.
-pub fn precision_vector_encoded(codec: &GenCodec, levels: &[usize]) -> Result<Vec<f64>> {
-    codec.validate(levels)?;
-    let ds = codec.dataset();
-    let schema = ds.schema();
-    let cols: Vec<(usize, usize)> = (0..schema.len())
-        .filter_map(|c| schema.attribute(c).hierarchy().map(|h| (c, h.max_level())))
-        .collect();
-    if cols.is_empty() {
-        return Ok(vec![1.0; codec.rows()]);
-    }
-    let dim_of = dims_by_column(codec);
-    let mut acc = vec![0.0f64; codec.rows()];
-    for &(c, max) in &cols {
-        let h = schema.attribute(c).hierarchy().expect("filtered above");
-        match dim_of[c] {
-            Some(dim) => {
-                let level = levels[dim];
-                let terms: Vec<f64> = codec
-                    .dict(dim, level)
-                    .iter()
-                    .map(|gv| h.level_of(gv).unwrap_or(max) as f64 / max as f64)
-                    .collect();
-                scatter_terms(&mut acc, codec.encoded_column(dim, level), &terms);
-            }
-            None => {
-                let terms: Vec<f64> = ds
-                    .distinct(c)
-                    .values()
-                    .iter()
-                    .map(|v| h.level_of(&GenValue::raw(*v)).unwrap_or(max) as f64 / max as f64)
-                    .collect();
-                scatter_terms(&mut acc, &raw_codes(ds, c), &terms);
-            }
-        }
-    }
-    let d = cols.len() as f64;
-    Ok(acc.into_iter().map(|a| 1.0 - a / d).collect())
-}
-
-/// Chunked-store variant of [`precision_vector_encoded`]: bit-identical
-/// per-cell `level / max_level` terms, scattered chunk-at-a-time through
-/// the branch-free gather kernel in the same column order.
+/// chunk-at-a-time through the branch-free gather kernel, accumulating per
+/// row in the same column order as the materialized path (bit-identical
+/// results).
 ///
 /// # Errors
 /// As [`ChunkedCodec::validate`]; propagates spill-file I/O errors.
@@ -660,10 +503,7 @@ pub fn precision_vector_chunked(codec: &ChunkedCodec, levels: &[usize]) -> Resul
     if cols.is_empty() {
         return Ok(vec![1.0; codec.rows()]);
     }
-    let mut dim_of: Vec<Option<usize>> = vec![None; schema.len()];
-    for dim in 0..codec.dims() {
-        dim_of[codec.column_of(dim)] = Some(dim);
-    }
+    let dim_of = dims_by_column(codec);
     let specs: Vec<TermColumn> = cols
         .iter()
         .map(|&(c, max)| {
@@ -883,10 +723,9 @@ mod tests {
     }
 
     #[test]
-    fn encoded_vectors_are_bit_identical_to_materialized() {
+    fn codec_vectors_are_bit_identical_to_materialized() {
         let ds = dataset();
         let lattice = Lattice::new(ds.schema().clone()).unwrap();
-        let codec = GenCodec::new(&ds).unwrap();
         let metrics = [
             LossMetric::classic(),
             LossMetric::paper_ratio(),
@@ -896,47 +735,52 @@ mod tests {
                 ColumnSet::Explicit(vec![1, 2]),
             ),
         ];
-        for levels in lattice.iter_all() {
-            let t = codec.decode(&levels, "t").unwrap();
-            for m in &metrics {
+        for chunk_rows in [1, 3, ds.len()] {
+            let codec = ChunkedCodec::from_dataset(&ds, chunk_rows).unwrap();
+            for levels in lattice.iter_all() {
+                let t = lattice.apply(&ds, &levels, "t").unwrap();
+                for m in &metrics {
+                    assert_eq!(
+                        m.loss_vector_chunked(&codec, &levels).unwrap(),
+                        m.loss_vector(&t),
+                        "loss differs at {levels:?}"
+                    );
+                    assert_eq!(
+                        m.utility_vector_chunked(&codec, &levels).unwrap(),
+                        m.utility_vector(&t),
+                        "utility differs at {levels:?}"
+                    );
+                    assert_eq!(
+                        m.loss_vector_chunked(&codec, &levels)
+                            .unwrap()
+                            .iter()
+                            .sum::<f64>(),
+                        m.total_loss(&t),
+                        "total loss differs at {levels:?}"
+                    );
+                }
                 assert_eq!(
-                    m.loss_vector_encoded(&codec, &levels).unwrap(),
-                    m.loss_vector(&t),
-                    "loss differs at {levels:?}"
+                    precision_vector_chunked(&codec, &levels).unwrap(),
+                    precision_vector(&t),
+                    "precision differs at {levels:?}"
                 );
+                let part = codec.partition(&levels).unwrap();
                 assert_eq!(
-                    m.utility_vector_encoded(&codec, &levels).unwrap(),
-                    m.utility_vector(&t),
-                    "utility differs at {levels:?}"
-                );
-                assert_eq!(
-                    m.total_loss_encoded(&codec, &levels).unwrap(),
-                    m.total_loss(&t),
-                    "total loss differs at {levels:?}"
+                    discernibility_vector_chunked(&codec, &part).unwrap(),
+                    discernibility_vector(&t),
+                    "discernibility differs at {levels:?}"
                 );
             }
-            assert_eq!(
-                precision_vector_encoded(&codec, &levels).unwrap(),
-                precision_vector(&t),
-                "precision differs at {levels:?}"
-            );
-            let part = codec.partition(&levels).unwrap();
-            assert_eq!(
-                discernibility_vector_encoded(&codec, &part).unwrap(),
-                discernibility_vector(&t),
-                "discernibility differs at {levels:?}"
-            );
         }
     }
 
     #[test]
-    fn encoded_vectors_validate_levels() {
-        let ds = dataset();
-        let codec = GenCodec::new(&ds).unwrap();
+    fn codec_vectors_validate_levels() {
+        let codec = ChunkedCodec::resident(&dataset()).unwrap();
         assert!(LossMetric::classic()
-            .loss_vector_encoded(&codec, &[0])
+            .loss_vector_chunked(&codec, &[0])
             .is_err());
-        assert!(precision_vector_encoded(&codec, &[9, 9]).is_err());
+        assert!(precision_vector_chunked(&codec, &[9, 9]).is_err());
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Property-based equivalence between the chunked (out-of-core) codec and
-//! the monolithic in-memory codec: on arbitrary datasets, hierarchies,
-//! lattice nodes, chunk sizes — including size 1, sizes that do not
-//! divide the row count, and sizes larger than it — and worker thread
-//! counts {1, 2, 8}, partitions, class ids, coarsening, and the loss
-//! kernels must match bit for bit. Thread count must never be observable
-//! in any output.
+//! Property-based equivalence between the chunked codec and the
+//! materialized reference path (`Lattice::apply` plus hash grouping): on
+//! arbitrary datasets, hierarchies, lattice nodes, chunk sizes — including
+//! size 1, sizes that do not divide the row count, and sizes larger than
+//! it — and worker thread counts {1, 2, 8}, partitions, class ids,
+//! coarsening, decoding, and the loss kernels must match bit for bit.
+//! Thread count must never be observable in any output.
 
 use std::sync::Arc;
 
@@ -46,18 +46,37 @@ fn chunk_sizes(rows: usize) -> [usize; 4] {
 /// workers than this container has cores (oversubscribed).
 const THREADS: [usize; 3] = [1, 2, 8];
 
+/// The materialized reference partition of `levels`: class sizes and
+/// representatives in first-appearance order (a class's representative
+/// is its smallest member), plus every row's class id.
+fn reference_partition(ds: &Arc<Dataset>, levels: &[usize]) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+    let lattice = Lattice::new(ds.schema().clone()).expect("lattice");
+    let table = lattice.apply(ds, levels, "t").expect("valid levels");
+    let classes = table.classes();
+    let sizes = (0..classes.class_count())
+        .map(|c| classes.members(c).len() as u32)
+        .collect();
+    let reps = (0..classes.class_count())
+        .map(|c| classes.members(c)[0])
+        .collect();
+    let ids = (0..ds.len()).map(|t| classes.class_of(t) as u32).collect();
+    (sizes, reps, ids)
+}
+
 proptest! {
     #[test]
-    fn chunked_partitions_match_monolithic(
+    fn chunked_partitions_match_materialized(
         rows in arb_rows(),
         l0 in 0usize..4,
         l1 in 0usize..3,
     ) {
         let schema = small_schema();
-        let ds = Dataset::new(schema, rows).expect("rows are in-domain");
-        let codec = GenCodec::new(&ds).expect("every QI has a hierarchy");
-        let expected = codec.partition(&[l0, l1]).expect("valid levels");
-        let expected_ids = expected.class_ids(&codec).expect("ids");
+        let ds = Dataset::new(schema.clone(), rows).expect("rows are in-domain");
+        let (sizes, reps, ids) = reference_partition(&ds, &[l0, l1]);
+        let table = Lattice::new(schema)
+            .expect("lattice")
+            .apply(&ds, &[l0, l1], "t")
+            .expect("valid levels");
         for chunk_rows in chunk_sizes(ds.len()) {
             let chunked = ChunkedCodec::from_dataset(&ds, chunk_rows).expect("chunked build");
             for threads in THREADS {
@@ -65,32 +84,34 @@ proptest! {
                 let got = chunked.partition(&[l0, l1]).expect("valid levels");
                 prop_assert_eq!(
                     got.sizes(),
-                    expected.sizes(),
+                    &sizes[..],
                     "sizes @ chunk_rows={} threads={}",
                     chunk_rows,
                     threads
                 );
                 prop_assert_eq!(
                     got.representatives(),
-                    expected.representatives(),
+                    &reps[..],
                     "reps @ chunk_rows={} threads={}",
                     chunk_rows,
                     threads
                 );
                 let got_ids = chunked.class_ids(&[l0, l1]).expect("ids");
                 prop_assert_eq!(
-                    got_ids.as_slice(),
-                    expected_ids,
+                    &got_ids,
+                    &ids,
                     "ids @ chunk_rows={} threads={}",
                     chunk_rows,
                     threads
                 );
+                let decoded = chunked.decode(&ds, &[l0, l1], "t").expect("decode");
+                prop_assert_eq!(decoded.records(), table.records());
             }
         }
     }
 
     #[test]
-    fn chunked_coarsen_matches_monolithic(
+    fn chunked_coarsen_matches_materialized(
         rows in arb_rows(),
         pl0 in 0usize..3,
         pl1 in 0usize..2,
@@ -99,10 +120,8 @@ proptest! {
     ) {
         let schema = small_schema();
         let ds = Dataset::new(schema, rows).expect("rows are in-domain");
-        let codec = GenCodec::new(&ds).expect("codec");
         let child = [pl0 + d0, pl1 + d1];
-        let expected_parent = codec.partition(&[pl0, pl1]).expect("parent");
-        let expected = codec.coarsen(&expected_parent, &child).expect("coarsen");
+        let (sizes, reps, _) = reference_partition(&ds, &child);
         for chunk_rows in chunk_sizes(ds.len()) {
             let chunked = ChunkedCodec::from_dataset(&ds, chunk_rows).expect("chunked build");
             for threads in THREADS {
@@ -111,14 +130,14 @@ proptest! {
                 let got = chunked.coarsen(&parent, &child).expect("coarsen");
                 prop_assert_eq!(
                     got.sizes(),
-                    expected.sizes(),
+                    &sizes[..],
                     "sizes @ chunk_rows={} threads={}",
                     chunk_rows,
                     threads
                 );
                 prop_assert_eq!(
                     got.representatives(),
-                    expected.representatives(),
+                    &reps[..],
                     "reps @ chunk_rows={} threads={}",
                     chunk_rows,
                     threads
@@ -128,16 +147,18 @@ proptest! {
     }
 
     #[test]
-    fn chunked_loss_kernels_match_encoded(
+    fn chunked_loss_kernels_match_materialized(
         rows in arb_rows(),
         l0 in 0usize..4,
         l1 in 0usize..3,
     ) {
         let schema = small_schema();
-        let ds = Dataset::new(schema, rows).expect("rows are in-domain");
-        let codec = GenCodec::new(&ds).expect("codec");
+        let ds = Dataset::new(schema.clone(), rows).expect("rows are in-domain");
         let levels = [l0, l1];
-        let partition = codec.partition(&levels).expect("partition");
+        let table = Lattice::new(schema)
+            .expect("lattice")
+            .apply(&ds, &levels, "t")
+            .expect("valid levels");
         for chunk_rows in chunk_sizes(ds.len()) {
             let chunked = ChunkedCodec::from_dataset(&ds, chunk_rows).expect("chunked build");
             for threads in THREADS {
@@ -145,17 +166,17 @@ proptest! {
                 let tag = (chunk_rows, threads);
                 let chunked_partition = chunked.partition(&levels).expect("partition");
                 for metric in [LossMetric::classic(), LossMetric::paper_ratio()] {
-                    let a = metric.loss_vector_encoded(&codec, &levels).expect("encoded");
+                    let a = metric.loss_vector(&table);
                     let b = metric.loss_vector_chunked(&chunked, &levels).expect("chunked");
                     prop_assert_eq!(bits(&a), bits(&b), "loss @ {:?}", tag);
-                    let ua = metric.utility_vector_encoded(&codec, &levels).expect("encoded");
+                    let ua = metric.utility_vector(&table);
                     let ub = metric.utility_vector_chunked(&chunked, &levels).expect("chunked");
                     prop_assert_eq!(bits(&ua), bits(&ub), "utility @ {:?}", tag);
                 }
-                let pa = precision_vector_encoded(&codec, &levels).expect("encoded");
+                let pa = precision_vector(&table);
                 let pb = precision_vector_chunked(&chunked, &levels).expect("chunked");
                 prop_assert_eq!(bits(&pa), bits(&pb), "precision @ {:?}", tag);
-                let da = discernibility_vector_encoded(&codec, &partition).expect("encoded");
+                let da = discernibility_vector(&table);
                 let db =
                     discernibility_vector_chunked(&chunked, &chunked_partition).expect("chunked");
                 prop_assert_eq!(bits(&da), bits(&db), "discernibility @ {:?}", tag);

@@ -200,12 +200,18 @@ proptest! {
         let qi: Vec<usize> = ds.schema().quasi_identifiers().to_vec();
         let h = EquivalenceClasses::group_by_hash(t.records(), &qi);
         let s = EquivalenceClasses::group_by_sort(t.records(), &qi);
-        let codec = GenCodec::new(&ds).expect("every QI has a hierarchy");
-        let columns: Vec<&[u32]> = vec![codec.encoded_column(0, l0), codec.encoded_column(1, l1)];
-        let c = EquivalenceClasses::group_by_codes(ds.len(), &columns);
+        let codec = ChunkedCodec::from_dataset(&ds, 7).expect("every QI has a hierarchy");
+        let c0 = codec.level_column(0, l0).expect("in-memory store");
+        let c1 = codec.level_column(1, l1).expect("in-memory store");
+        let c = EquivalenceClasses::group_by_codes(ds.len(), &[&c0, &c1]);
         prop_assert!(h.same_partition(&s));
         prop_assert!(c.same_partition(&h));
         prop_assert!(c.same_partition(&s));
+        // The codec's own first-appearance ids are the hash grouping's.
+        let ids = codec.class_ids(&[l0, l1]).expect("valid levels");
+        for (t, &id) in ids.iter().enumerate() {
+            prop_assert_eq!(id as usize, h.class_of(t));
+        }
     }
 
     #[test]
