@@ -1,15 +1,18 @@
-//! Emits `BENCH_baseline.json`: machine-readable wall-clock baselines for
-//! the `algorithms`, `grouping`, `lattice_encoded`, `property_extraction`,
-//! and `comparator_matrix` bench groups, plus the out-of-core chunked
-//! groups at 1M/10M rows with a `scaling` section, a `parallel_scaling`
-//! thread sweep (phases timed per thread count, outputs digested for
-//! bit-identity), and per-entry peak RSS.
+//! Emits `BENCH_baseline.json`, the workspace's one micro-benchmark
+//! record: wall-clock timings for the `grouping`, `algorithms`,
+//! `algo_scaling`, `algo_k_sweep`, `lattice_encoded`,
+//! `property_extraction`, `comparator_matrix`, `comparator_scaling`,
+//! `hv_log_vs_exact`, `loss_cache` and `perturbative` groups, plus the
+//! out-of-core chunked groups at 1M/10M rows with a `scaling` section, a
+//! `parallel_scaling` thread sweep (phases timed per thread count,
+//! outputs digested for bit-identity), and per-entry peak RSS.
 //!
-//! Criterion's HTML-free vendored harness prints per-run numbers but keeps
-//! no history; this binary records a single JSON snapshot that CI and the
-//! README perf note can diff against. Timings are wall-clock (mean and min
-//! over a fixed iteration count), measured the same way the criterion
-//! benches measure them, on the same census datasets.
+//! Every entry repeats its closure for a fixed number of trials and
+//! records the distribution — `min_ms`, `median_ms`, `max_ms` and
+//! `mean_ms` — on the same census datasets the experiments use. Entries
+//! whose single call takes microseconds time a batch of calls per trial
+//! and report the per-call time. End-to-end runs (study sweep, serve
+//! traffic, dist sweep) are measured by `perfbench/`, not here.
 //!
 //! ```text
 //! cargo run -p anoncmp-bench --release --bin bench_baseline            # writes ./BENCH_baseline.json
@@ -36,7 +39,8 @@ use std::time::Instant;
 use anoncmp_anonymize::prelude::*;
 use anoncmp_core::prelude::*;
 use anoncmp_datagen::census::{census_schema, generate, CensusConfig, CensusRows};
-use anoncmp_microdata::loss::LossMetric;
+use anoncmp_engine::prelude::{AlgorithmSpec, DatasetSpec, Engine, EngineConfig, EvalJob};
+use anoncmp_microdata::loss::{CellLossCache, LossMetric};
 use anoncmp_microdata::prelude::*;
 use serde::Serialize;
 
@@ -48,6 +52,9 @@ const ROW_GROUPS: [usize; 2] = [10_000, 50_000];
 /// fixed-size column chunks.
 const CHUNKED_ROW_GROUPS: [usize; 2] = [1_000_000, 10_000_000];
 
+/// Vector lengths of the `comparator_scaling` group.
+const COMPARATOR_SIZES: [usize; 3] = [100, 10_000, 1_000_000];
+
 /// Chunk granularity of the streaming groups: 64Ki rows per block keeps
 /// the working set of one pass well under a megabyte per column.
 const CHUNK_ROWS: usize = 65_536;
@@ -58,9 +65,12 @@ struct BenchEntry {
     group: String,
     name: String,
     rows: usize,
+    /// Number of timed trials.
     iters: usize,
     mean_ms: f64,
     min_ms: f64,
+    median_ms: f64,
+    max_ms: f64,
     /// Peak resident set (VmHWM) over this entry's timed runs alone, in
     /// MiB: the counter is reset via `/proc/self/clear_refs` before the
     /// first iteration. `None` off Linux.
@@ -157,34 +167,90 @@ struct Baseline {
     benches: Vec<BenchEntry>,
 }
 
-/// Times `f` over `iters` runs, returning `(mean_ms, min_ms)`.
-fn time_ms(iters: usize, mut f: impl FnMut()) -> (f64, f64) {
-    let mut total = 0.0;
-    let mut min = f64::INFINITY;
-    for _ in 0..iters {
-        let t = Instant::now();
-        f();
-        let ms = t.elapsed().as_secs_f64() * 1e3;
-        total += ms;
-        min = min.min(ms);
+/// The distribution of one closure's wall-clock over repeated trials.
+#[derive(Clone, Copy)]
+struct Trials {
+    mean_ms: f64,
+    min_ms: f64,
+    median_ms: f64,
+    max_ms: f64,
+}
+
+impl Trials {
+    fn scaled(self, factor: f64) -> Trials {
+        Trials {
+            mean_ms: self.mean_ms * factor,
+            min_ms: self.min_ms * factor,
+            median_ms: self.median_ms * factor,
+            max_ms: self.max_ms * factor,
+        }
     }
-    (total / iters as f64, min)
+}
+
+/// Times `f` over `iters` trials.
+fn time_ms(iters: usize, mut f: impl FnMut()) -> Trials {
+    let mut samples: Vec<f64> = (0..iters.max(1))
+        .map(|_| {
+            let t = Instant::now();
+            f();
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    let n = samples.len();
+    Trials {
+        mean_ms: samples.iter().sum::<f64>() / n as f64,
+        min_ms: samples[0],
+        median_ms: (samples[(n - 1) / 2] + samples[n / 2]) / 2.0,
+        max_ms: samples[n - 1],
+    }
 }
 
 fn entry(group: &str, name: &str, rows: usize, iters: usize, f: impl FnMut()) -> BenchEntry {
+    batched_entry(group, name, rows, iters, 1, f)
+}
+
+/// An entry whose trials each run `f` `batch` times, recording per-call
+/// times: single calls that take microseconds are too short to time
+/// one by one.
+fn batched_entry(
+    group: &str,
+    name: &str,
+    rows: usize,
+    iters: usize,
+    batch: usize,
+    mut f: impl FnMut(),
+) -> BenchEntry {
     reset_peak_rss();
-    let (mean_ms, min_ms) = time_ms(iters, f);
+    let t = time_ms(iters, || (0..batch).for_each(|_| f())).scaled(1.0 / batch as f64);
     let peak_rss_mb = peak_rss_mb();
     let rss = peak_rss_mb.map_or(String::new(), |r| format!(", peak {r:.0} MiB"));
-    eprintln!("{group}/{name} rows={rows}: mean {mean_ms:.3} ms, min {min_ms:.3} ms{rss}");
+    eprintln!(
+        "{group}/{name} rows={rows}: min {}, median {}, max {}{rss}",
+        readable(t.min_ms),
+        readable(t.median_ms),
+        readable(t.max_ms)
+    );
     BenchEntry {
         group: group.into(),
         name: name.into(),
         rows,
         iters,
-        mean_ms,
-        min_ms,
+        mean_ms: t.mean_ms,
+        min_ms: t.min_ms,
+        median_ms: t.median_ms,
+        max_ms: t.max_ms,
         peak_rss_mb,
+    }
+}
+
+/// `ms` in µs below a millisecond, so per-call comparator timings stay
+/// legible on stderr.
+fn readable(ms: f64) -> String {
+    if ms < 1.0 {
+        format!("{:.3} µs", ms * 1e3)
+    } else {
+        format!("{ms:.3} ms")
     }
 }
 
@@ -211,11 +277,6 @@ fn grouping_benches(out: &mut Vec<BenchEntry>) {
     let table = lattice.apply(&ds, &NODE, "bench").expect("valid node");
     let records = table.records().to_vec();
     let qi: Vec<usize> = ds.schema().quasi_identifiers().to_vec();
-    let codec = ChunkedCodec::resident(&ds).expect("census hierarchies are complete");
-    let encoded: Vec<Vec<u32>> = (0..NODE.len())
-        .map(|dim| codec.level_column(dim, NODE[dim]).expect("in-memory store"))
-        .collect();
-    let columns: Vec<&[u32]> = encoded.iter().map(Vec::as_slice).collect();
 
     let iters = 20;
     out.push(entry("grouping", "hash", rows, iters, || {
@@ -223,9 +284,6 @@ fn grouping_benches(out: &mut Vec<BenchEntry>) {
     }));
     out.push(entry("grouping", "sort", rows, iters, || {
         std::hint::black_box(EquivalenceClasses::group_by_sort(&records, &qi));
-    }));
-    out.push(entry("grouping", "codes", rows, iters, || {
-        std::hint::black_box(EquivalenceClasses::group_by_codes(rows, &columns));
     }));
 }
 
@@ -251,6 +309,81 @@ fn algorithm_benches(out: &mut Vec<BenchEntry>) {
                 .expect("satisfiable"),
         );
     }));
+}
+
+/// One engine job over a census sample, as the experiments declare them.
+fn engine_job(rows: usize, algorithm: AlgorithmSpec, k: usize, max_suppression: usize) -> EvalJob {
+    EvalJob {
+        dataset: DatasetSpec::Census {
+            rows,
+            seed: 99,
+            zip_pool: 20,
+        },
+        algorithm,
+        k,
+        max_suppression,
+        properties: vec![],
+    }
+}
+
+/// Times `job` through a one-worker engine — the path the experiments
+/// take — clearing released tables before every trial so each one re-runs
+/// the anonymization (the dataset stays cached).
+fn engine_entry(engine: &Engine, group: &str, name: &str, rows: usize, job: EvalJob) -> BenchEntry {
+    let iters = 5;
+    entry(group, name, rows, iters, || {
+        engine.clear_releases();
+        std::hint::black_box(engine.run(std::slice::from_ref(&job)));
+    })
+}
+
+/// `algo_scaling`: each algorithm's cost as the dataset grows at k = 5,
+/// with the exhaustive searches at one moderate size; `algo_k_sweep`: how
+/// the two fastest algorithms' cost varies with k at 500 rows (entries
+/// are named `<algorithm>/k<k>`).
+fn engine_benches(out: &mut Vec<BenchEntry>) {
+    let engine = Engine::new(EngineConfig {
+        jobs: 1,
+        ..EngineConfig::default()
+    });
+    for rows in [200usize, 500, 1000] {
+        for algorithm in [
+            AlgorithmSpec::Datafly,
+            AlgorithmSpec::Mondrian,
+            AlgorithmSpec::Greedy,
+        ] {
+            let job = engine_job(rows, algorithm, 5, rows / 20);
+            out.push(engine_entry(
+                &engine,
+                "algo_scaling",
+                algorithm.name(),
+                rows,
+                job,
+            ));
+        }
+    }
+    for algorithm in [
+        AlgorithmSpec::Samarati,
+        AlgorithmSpec::Incognito,
+        AlgorithmSpec::SubsetIncognito,
+        AlgorithmSpec::Genetic,
+    ] {
+        let job = engine_job(300, algorithm, 5, 15);
+        out.push(engine_entry(
+            &engine,
+            "algo_scaling",
+            algorithm.name(),
+            300,
+            job,
+        ));
+    }
+    for k in [2usize, 10, 50] {
+        for algorithm in [AlgorithmSpec::Mondrian, AlgorithmSpec::Datafly] {
+            let job = engine_job(500, algorithm, k, 25);
+            let name = format!("{}/k{k}", algorithm.name());
+            out.push(engine_entry(&engine, "algo_k_sweep", &name, 500, job));
+        }
+    }
 }
 
 fn lattice_benches(out: &mut Vec<BenchEntry>, sizes: &[usize]) {
@@ -409,7 +542,7 @@ fn parallel_scaling(rows: usize) -> ParallelScaling {
     let mut phases = Vec::new();
     for threads in [1usize, 2, 4] {
         let mut built: Option<ChunkedCodec> = None;
-        let (_, build_ms) = time_ms(1, || {
+        let build_ms = time_ms(1, || {
             built = Some(
                 ChunkedCodec::from_rows_parallel(
                     census_schema(config.zip_pool),
@@ -420,23 +553,26 @@ fn parallel_scaling(rows: usize) -> ParallelScaling {
                 )
                 .expect("streaming build"),
             );
-        });
+        })
+        .min_ms;
         let codec = built.expect("built in the timed closure");
         codec.set_threads(threads);
 
-        let (_, partition_ms) = time_ms(iters, || {
+        let partition_ms = time_ms(iters, || {
             let p = codec.partition(&NODE).expect("valid node");
             std::hint::black_box(p.min_class_size());
-        });
+        })
+        .min_ms;
         let partition = codec.partition(&NODE).expect("valid node");
-        let (_, extraction_ms) = time_ms(iters, || {
+        let extraction_ms = time_ms(iters, || {
             for p in &props {
                 std::hint::black_box(
                     p.extract_chunked(&codec, &partition)
                         .expect("built-ins have chunked kernels"),
                 );
             }
-        });
+        })
+        .min_ms;
 
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
         let ids = codec.class_ids(&NODE).expect("valid node");
@@ -581,9 +717,13 @@ fn main() {
     let mut benches = Vec::new();
     grouping_benches(&mut benches);
     algorithm_benches(&mut benches);
+    engine_benches(&mut benches);
     lattice_benches(&mut benches, &in_memory_sizes);
     property_extraction_benches(&mut benches, &in_memory_sizes);
     comparator_matrix_benches(&mut benches);
+    comparator_scaling_benches(&mut benches, &capped(&COMPARATOR_SIZES, cli.max_rows));
+    hv_log_vs_exact_benches(&mut benches);
+    loss_cache_benches(&mut benches);
     let perturbative = perturbative_benches(&mut benches);
     chunked_benches(&mut benches, &chunked_sizes, cli.chunk_threads);
     let parallel = chunked_sizes
@@ -756,6 +896,96 @@ fn perturbative_benches(out: &mut Vec<BenchEntry>) -> Perturbative {
             (Some(n), Some(f)) if f > 0.0 => n / f,
             _ => 0.0,
         },
+    }
+}
+
+/// Two deterministic property vectors of `n` tuples.
+fn vector_pair(n: usize) -> (PropertyVector, PropertyVector) {
+    let d1 = PropertyVector::new("d1", (0..n).map(|i| ((i * 7) % 13) as f64 + 1.0).collect());
+    let d2 = PropertyVector::new("d2", (0..n).map(|i| ((i * 11) % 13) as f64 + 1.0).collect());
+    (d1, d2)
+}
+
+/// `comparator_scaling`: one pairwise comparison per comparator as the
+/// vector length N grows. Each trial runs 10⁶/N calls, so every trial does
+/// the same amount of work.
+fn comparator_scaling_benches(out: &mut Vec<BenchEntry>, sizes: &[usize]) {
+    for &n in sizes {
+        let (d1, d2) = vector_pair(n);
+        let comparators: Vec<(&str, Box<dyn Comparator>)> = vec![
+            ("dominance", Box::new(DominanceComparator)),
+            ("cov", Box::new(CoverageComparator)),
+            ("spr", Box::new(SpreadComparator)),
+            ("rank", Box::new(RankComparator::toward_uniform(14.0, n))),
+            ("hv", Box::new(HypervolumeComparator::default())),
+        ];
+        let batch = (1_000_000 / n).max(1);
+        for (name, c) in &comparators {
+            out.push(batched_entry(
+                "comparator_scaling",
+                name,
+                n,
+                15,
+                batch,
+                || {
+                    std::hint::black_box(c.compare(&d1, &d2));
+                },
+            ));
+        }
+    }
+}
+
+/// `hv_log_vs_exact` (DESIGN.md decision 3): exact hypervolume products vs
+/// the log-space proxy at N = 32, still safe for exact products.
+fn hv_log_vs_exact_benches(out: &mut Vec<BenchEntry>) {
+    let n = 32usize;
+    let d1 = PropertyVector::new("d1", (0..n).map(|i| ((i % 5) + 2) as f64).collect());
+    let d2 = PropertyVector::new("d2", (0..n).map(|i| ((i % 3) + 3) as f64).collect());
+    for (name, mode) in [("exact32", HvMode::Exact), ("log32", HvMode::Log)] {
+        out.push(batched_entry(
+            "hv_log_vs_exact",
+            name,
+            n,
+            20,
+            10_000,
+            || {
+                std::hint::black_box(HypervolumeComparator::with_mode(mode).compare(&d1, &d2));
+            },
+        ));
+    }
+}
+
+/// `loss_cache` (DESIGN.md decision 2): the paper-ratio loss of every cell
+/// of a mid-lattice release, computed directly vs through a fresh
+/// [`CellLossCache`].
+fn loss_cache_benches(out: &mut Vec<BenchEntry>) {
+    for rows in [1_000usize, 10_000] {
+        let ds = census(rows);
+        let lattice = Lattice::new(ds.schema().clone()).expect("census lattice");
+        let t = lattice
+            .apply(&ds, &[2, 2, 1, 1, 0, 0], "bench")
+            .expect("mid-level recoding");
+        let metric = LossMetric::paper_ratio();
+        let cols = ds.schema().len();
+        out.push(entry("loss_cache", "uncached", rows, 12, || {
+            let mut total = 0.0;
+            for tuple in 0..t.len() {
+                for col in 0..cols {
+                    total += metric.cell_loss(&ds, col, t.cell(tuple, col));
+                }
+            }
+            std::hint::black_box(total);
+        }));
+        out.push(entry("loss_cache", "cached", rows, 12, || {
+            let mut cache = CellLossCache::new(metric.clone());
+            let mut total = 0.0;
+            for tuple in 0..t.len() {
+                for col in 0..cols {
+                    total += cache.get(&ds, col, t.cell(tuple, col));
+                }
+            }
+            std::hint::black_box(total);
+        }));
     }
 }
 

@@ -11,8 +11,11 @@
 //! cargo run -p anoncmp-bench --bin experiments -- --list          # index
 //! ```
 //!
-//! Criterion micro-benchmarks live under `benches/` (one group per paper
-//! figure plus scaling and ablation benches; see DESIGN.md).
+//! Timings come from two more binaries: `bench_baseline` records every
+//! micro-benchmark group (algorithm and comparator scaling, the DESIGN.md
+//! ablations, the chunked pipeline) as repeated trials in
+//! `BENCH_baseline.json`, and `bench_dist` measures sharded `dist` sweeps
+//! in `BENCH_dist.json`. End-to-end runs are benchmarked by `perfbench/`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

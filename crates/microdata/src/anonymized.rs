@@ -14,7 +14,6 @@ use std::sync::Arc;
 
 use crate::dataset::Dataset;
 use crate::error::{Error, Result};
-use crate::hash::FxMap;
 use crate::value::GenValue;
 
 /// The equivalence-class structure induced by an anonymization: tuples are
@@ -74,91 +73,6 @@ impl EquivalenceClasses {
         }
         for m in &mut members {
             m.sort_unstable();
-        }
-        EquivalenceClasses { class_of, members }
-    }
-
-    /// Groups `rows` tuples by their per-column `u32` code slices (such as
-    /// the generalized codes a
-    /// [`ChunkedCodec`](crate::chunked::ChunkedCodec) streams). Produces
-    /// the **identical
-    /// partition with identical first-appearance numbering** as
-    /// [`group_by_hash`](Self::group_by_hash) on the decoded records,
-    /// because dictionary codes are in bijection with generalized values
-    /// per column.
-    ///
-    /// When the per-column code widths sum to ≤ 64 bits, each row key is
-    /// packed into a single `u64` (no per-row allocation at all);
-    /// otherwise all keys live in one flat buffer and the map borrows
-    /// slices of it — a single allocation either way, no `GenValue`
-    /// signature `Vec`s.
-    ///
-    /// Every slice in `columns` must have length `rows`; with no columns,
-    /// all tuples share the empty signature.
-    pub fn group_by_codes(rows: usize, columns: &[&[u32]]) -> Self {
-        debug_assert!(columns.iter().all(|c| c.len() == rows));
-        let mut class_of: Vec<u32> = Vec::with_capacity(rows);
-        let mut members: Vec<Vec<u32>> = Vec::new();
-
-        // Bit layout for packing one row's codes into a u64, if it fits.
-        let mut shifts: Option<Vec<u32>> = {
-            let mut acc = Vec::with_capacity(columns.len());
-            let mut used = 0u32;
-            let mut ok = true;
-            for col in columns {
-                let max = col.iter().copied().max().unwrap_or(0);
-                let bits = (u32::BITS - max.leading_zeros()).max(1);
-                if used + bits > 64 {
-                    ok = false;
-                    break;
-                }
-                acc.push(used);
-                used += bits;
-            }
-            ok.then_some(acc)
-        };
-        if columns.is_empty() {
-            shifts = Some(Vec::new());
-        }
-
-        match shifts {
-            Some(shifts) => {
-                let mut index: FxMap<u64, u32> = FxMap::default();
-                for row in 0..rows {
-                    let key = columns
-                        .iter()
-                        .zip(&shifts)
-                        .fold(0u64, |k, (col, &s)| k | (u64::from(col[row]) << s));
-                    let next = members.len() as u32;
-                    let class = *index.entry(key).or_insert(next);
-                    if class == next {
-                        members.push(Vec::new());
-                    }
-                    class_of.push(class);
-                    members[class as usize].push(row as u32);
-                }
-            }
-            None => {
-                // Wide fallback: one flat buffer holds every row key; the
-                // map borrows slices of it.
-                let cols = columns.len();
-                let mut flat: Vec<u32> = Vec::with_capacity(rows * cols);
-                for row in 0..rows {
-                    for col in columns {
-                        flat.push(col[row]);
-                    }
-                }
-                let mut index: FxMap<&[u32], u32> = FxMap::default();
-                for (row, key) in flat.chunks_exact(cols).enumerate() {
-                    let next = members.len() as u32;
-                    let class = *index.entry(key).or_insert(next);
-                    if class == next {
-                        members.push(Vec::new());
-                    }
-                    class_of.push(class);
-                    members[class as usize].push(row as u32);
-                }
-            }
         }
         EquivalenceClasses { class_of, members }
     }
@@ -547,53 +461,10 @@ mod tests {
         assert_eq!(h.class_count(), 3);
     }
 
-    #[test]
-    fn codes_grouping_matches_hash_grouping_exactly() {
-        // Codes mirror the signatures of `hash_and_sort_groupings_agree`.
-        let col: Vec<u32> = vec![0, 1, 0, 2];
-        let c = EquivalenceClasses::group_by_codes(4, &[&col]);
-        let iv = |lo, hi| GenValue::Interval { lo, hi };
-        let records = vec![
-            vec![iv(0, 15), GenValue::Cat(0)],
-            vec![iv(15, 30), GenValue::Cat(1)],
-            vec![iv(0, 15), GenValue::Cat(0)],
-            vec![GenValue::Suppressed, GenValue::Cat(0)],
-        ];
-        let h = EquivalenceClasses::group_by_hash(&records, &[0]);
-        assert!(c.same_partition(&h));
-        // Not just the same partition: identical first-appearance numbering.
-        for t in 0..4 {
-            assert_eq!(c.class_of(t), h.class_of(t));
-        }
-        assert_eq!(c.members(0), &[0, 2]);
-    }
-
-    #[test]
-    fn codes_grouping_wide_fallback() {
-        // 3 columns with large codes force > 64 key bits, exercising the
-        // flat-buffer path; one column packed exercises the u64 path.
-        let a: Vec<u32> = vec![u32::MAX, 7, u32::MAX, 7];
-        let b: Vec<u32> = vec![1, 2, 1, 2];
-        let c: Vec<u32> = vec![u32::MAX - 1, 5, u32::MAX - 1, 6];
-        let wide = EquivalenceClasses::group_by_codes(4, &[&a, &b, &c]);
-        assert_eq!(wide.class_count(), 3);
-        assert_eq!(wide.class_of(0), wide.class_of(2));
-        assert_ne!(wide.class_of(1), wide.class_of(3), "third column splits");
-        let packed = EquivalenceClasses::group_by_codes(4, &[&b]);
-        assert_eq!(packed.class_count(), 2);
-        assert_eq!(packed.members(0), &[0, 2]);
-    }
-
-    #[test]
-    fn codes_grouping_degenerate_shapes() {
-        // No columns: every tuple shares the empty signature.
-        let all_one = EquivalenceClasses::group_by_codes(3, &[]);
-        assert_eq!(all_one.class_count(), 1);
-        assert_eq!(all_one.class_size_of(0), 3);
-        // No rows: empty partition.
-        let empty = EquivalenceClasses::group_by_codes(0, &[&[][..]]);
-        assert_eq!(empty.class_count(), 0);
-        assert_eq!(empty.min_class_size(), 0);
+    /// Groups one integer column, one tuple per code.
+    fn grouped(codes: &[i64]) -> EquivalenceClasses {
+        let records: Vec<Vec<GenValue>> = codes.iter().map(|&c| vec![GenValue::Int(c)]).collect();
+        EquivalenceClasses::group_by_hash(&records, &[0])
     }
 
     #[test]
@@ -601,39 +472,29 @@ mod tests {
         // 3 tuples: {0,1},{2} vs {0},{1},{2} — same tuple count, different
         // class counts. The shortcut must reject before comparing any
         // assignment (and must agree with the full comparison).
-        let a = EquivalenceClasses::group_by_codes(3, &[&[0, 0, 1][..]]);
-        let b = EquivalenceClasses::group_by_codes(3, &[&[0, 1, 2][..]]);
+        let a = grouped(&[0, 0, 1]);
+        let b = grouped(&[0, 1, 2]);
         assert_ne!(a.class_count(), b.class_count());
         assert!(!a.same_partition(&b));
         assert!(!b.same_partition(&a));
         // Different tuple counts also short-circuit.
-        let c = EquivalenceClasses::group_by_codes(2, &[&[0, 1][..]]);
+        let c = grouped(&[0, 1]);
         assert!(!b.same_partition(&c));
         // Equal class counts with permuted numbering still match…
-        let p = EquivalenceClasses::group_by_codes(3, &[&[5, 2, 2][..]]);
-        let q = EquivalenceClasses::group_by_codes(3, &[&[1, 9, 9][..]]);
+        let p = grouped(&[5, 2, 2]);
+        let q = grouped(&[1, 9, 9]);
         assert!(p.same_partition(&q));
         // …but equal counts with different groupings do not.
-        let r = EquivalenceClasses::group_by_codes(3, &[&[1, 1, 2][..]]);
-        let s = EquivalenceClasses::group_by_codes(3, &[&[1, 2, 2][..]]);
+        let r = grouped(&[1, 1, 2]);
+        let s = grouped(&[1, 2, 2]);
         assert_eq!(r.class_count(), s.class_count());
         assert!(!r.same_partition(&s));
     }
 
     #[test]
     fn same_partition_detects_differences() {
-        let records_a = vec![
-            vec![GenValue::Int(1)],
-            vec![GenValue::Int(1)],
-            vec![GenValue::Int(2)],
-        ];
-        let records_b = vec![
-            vec![GenValue::Int(1)],
-            vec![GenValue::Int(2)],
-            vec![GenValue::Int(2)],
-        ];
-        let a = EquivalenceClasses::group_by_hash(&records_a, &[0]);
-        let b = EquivalenceClasses::group_by_hash(&records_b, &[0]);
+        let a = grouped(&[1, 1, 2]);
+        let b = grouped(&[1, 2, 2]);
         assert!(a.same_partition(&a));
         assert!(!a.same_partition(&b));
     }

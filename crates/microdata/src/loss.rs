@@ -21,8 +21,7 @@
 //! dataset values via [`CoverageBasis`].
 
 use std::collections::HashMap;
-
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 use crate::anonymized::AnonymizedTable;
 use crate::chunked::{ChunkedCodec, TermColumn};
@@ -398,7 +397,7 @@ impl CellLossCache {
 
     /// The (possibly cached) loss of `gv` in column `col`.
     pub fn get(&mut self, ds: &Dataset, col: usize, gv: &GenValue) -> f64 {
-        let mut cache = self.cache.lock();
+        let mut cache = parallel::lock(&self.cache);
         if let Some(&v) = cache.get(&(col, *gv)) {
             return v;
         }
@@ -409,12 +408,12 @@ impl CellLossCache {
 
     /// Number of memoized entries.
     pub fn len(&self) -> usize {
-        self.cache.lock().len()
+        parallel::lock(&self.cache).len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.cache.lock().is_empty()
+        parallel::lock(&self.cache).is_empty()
     }
 }
 

@@ -26,11 +26,14 @@
 //!   contiguous spans of one output slice are filled concurrently; each
 //!   row's value must depend only on that row, so no ordering is needed
 //!   at all.
+//!
+//! [`lock`] is the workspace's one way to take a shared `std::sync::Mutex`
+//! outside these primitives.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::error::{Error, Result};
 
@@ -46,6 +49,17 @@ pub fn resolve_threads(requested: usize) -> usize {
             .unwrap_or(1),
         n => n,
     }
+}
+
+/// Locks `mutex`, recovering the guard if a previous holder panicked.
+///
+/// The engine and the serve daemon contain job panics and keep running,
+/// so a poisoned lock is a reachable state there rather than a bug to
+/// propagate. Recovery is sound because every guarded value is changed by
+/// single calls (a cache insert, a config store, a journal append) that
+/// leave it valid, and no job code runs while a lock is held.
+pub fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The reorder window for `threads` workers: enough slots that no worker
@@ -475,6 +489,20 @@ impl<T> Queue<T> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+
+    #[test]
+    fn mutex_survives_a_panicking_holder() {
+        let m = std::sync::Arc::new(Mutex::new(0u32));
+        let m2 = m.clone();
+        let _ = std::thread::spawn(move || {
+            let _guard = lock(&m2);
+            panic!("poison attempt");
+        })
+        .join();
+        assert!(m.is_poisoned());
+        *lock(&m) += 1;
+        assert_eq!(*lock(&m), 1);
+    }
 
     #[test]
     fn ordered_chunks_merge_in_order_at_every_thread_count() {

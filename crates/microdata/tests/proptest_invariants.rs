@@ -191,8 +191,9 @@ proptest! {
 
     #[test]
     fn grouping_strategies_always_agree(rows in arb_rows(), l0 in 0usize..4, l1 in 0usize..3) {
-        // Hash-based, sort-based, and dictionary-code-based grouping must
-        // induce the same partition on any table at any lattice node.
+        // Hash-based grouping, sort-based grouping, and the codec's class
+        // ids must induce the same partition on any table at any lattice
+        // node.
         let schema = small_schema();
         let ds = Dataset::new(schema.clone(), rows).expect("in-domain");
         let lattice = Lattice::new(schema).expect("lattice");
@@ -201,12 +202,7 @@ proptest! {
         let h = EquivalenceClasses::group_by_hash(t.records(), &qi);
         let s = EquivalenceClasses::group_by_sort(t.records(), &qi);
         let codec = ChunkedCodec::from_dataset(&ds, 7).expect("every QI has a hierarchy");
-        let c0 = codec.level_column(0, l0).expect("in-memory store");
-        let c1 = codec.level_column(1, l1).expect("in-memory store");
-        let c = EquivalenceClasses::group_by_codes(ds.len(), &[&c0, &c1]);
         prop_assert!(h.same_partition(&s));
-        prop_assert!(c.same_partition(&h));
-        prop_assert!(c.same_partition(&s));
         // The codec's own first-appearance ids are the hash grouping's.
         let ids = codec.class_ids(&[l0, l1]).expect("valid levels");
         for (t, &id) in ids.iter().enumerate() {

@@ -3,8 +3,9 @@
 //! # Architecture
 //!
 //! One acceptor thread polls a nonblocking listener so it can also watch
-//! the shutdown flag; `threads` worker threads pull admitted connections
-//! from a crossbeam channel and serve them to completion. Admission
+//! the shutdown flag; `threads` worker threads take turns receiving
+//! admitted connections from one shared `mpsc` channel and serve them to
+//! completion. Admission
 //! control sits between the two: every connection holds a
 //! [`Permit`](crate::admission::Permit) from accept to close, and when
 //! all permits are out the acceptor answers `429 overloaded` immediately
@@ -29,13 +30,14 @@
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use anoncmp_core::wire::{CompareRequest, ErrorBody, ErrorCode, ServerStats, SweepRequest};
 use anoncmp_engine::fingerprint::Fingerprinter;
 use anoncmp_engine::prelude::{Engine, EngineConfig, EvalJob, LruCache};
-use parking_lot::Mutex;
+use anoncmp_microdata::parallel::lock;
 use serde::json::{self, ParseLimits, Value};
 use serde::Serialize;
 
@@ -132,7 +134,7 @@ impl Inner {
     fn stats(&self) -> ServerStats {
         let cache = self.engine.cache_stats();
         let (vector_hits, vector_misses) = self.engine.vector_cache_stats();
-        let responses = self.responses.lock();
+        let responses = lock(&self.responses);
         ServerStats {
             requests_total: self.requests_total.load(Ordering::Relaxed),
             compare_requests: self.compare_requests.load(Ordering::Relaxed),
@@ -257,8 +259,8 @@ pub fn serve(config: ServeConfig, shutdown: ShutdownFlag) -> io::Result<ServerHa
         response_misses: AtomicU64::new(0),
     });
 
-    let (conn_tx, conn_rx) =
-        crossbeam::channel::unbounded::<(TcpStream, crate::admission::Permit)>();
+    let (conn_tx, conn_rx) = mpsc::channel::<(TcpStream, crate::admission::Permit)>();
+    let conn_rx = Arc::new(Mutex::new(conn_rx));
 
     let acceptor = {
         let inner = inner.clone();
@@ -274,11 +276,14 @@ pub fn serve(config: ServeConfig, shutdown: ShutdownFlag) -> io::Result<ServerHa
         workers.push(
             std::thread::Builder::new()
                 .name(format!("serve-worker-{i}"))
-                .spawn(move || {
-                    while let Ok((stream, permit)) = conn_rx.recv() {
-                        handle_connection(&inner, stream);
-                        drop(permit);
-                    }
+                .spawn(move || loop {
+                    // The receiver lock is released at the end of this
+                    // statement, before the connection is served.
+                    let Ok((stream, permit)) = lock(&conn_rx).recv() else {
+                        break;
+                    };
+                    handle_connection(&inner, stream);
+                    drop(permit);
                 })?,
         );
     }
@@ -296,7 +301,7 @@ pub fn serve(config: ServeConfig, shutdown: ShutdownFlag) -> io::Result<ServerHa
 fn accept_loop(
     listener: TcpListener,
     inner: &Arc<Inner>,
-    conn_tx: crossbeam::channel::Sender<(TcpStream, crate::admission::Permit)>,
+    conn_tx: Sender<(TcpStream, crate::admission::Permit)>,
 ) {
     // Adaptive poll backoff: a busy server re-polls almost immediately
     // (accept latency is on every request's critical path), an idle one
@@ -684,7 +689,7 @@ fn stream_sweep(
 /// is correct to serve.
 fn run_jobs(inner: &Arc<Inner>, jobs: &[EvalJob]) -> Arc<Vec<String>> {
     let key = batch_fingerprint(jobs);
-    if let Some(lines) = inner.responses.lock().get(&key) {
+    if let Some(lines) = lock(&inner.responses).get(&key) {
         inner.response_hits.fetch_add(1, Ordering::Relaxed);
         return lines;
     }
@@ -696,7 +701,7 @@ fn run_jobs(inner: &Arc<Inner>, jobs: &[EvalJob]) -> Arc<Vec<String>> {
         .iter()
         .map(|o| o.record.canonical().to_jsonl())
         .collect();
-    inner.responses.lock().get_or_insert(key, Arc::new(lines))
+    lock(&inner.responses).get_or_insert(key, Arc::new(lines))
 }
 
 /// Content fingerprint of a job batch: order-sensitive fold of each
